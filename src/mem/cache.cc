@@ -221,6 +221,7 @@ Cache::releaseMshr(MshrEntry *e)
 {
     if (!e->sentBelow)
         --unsentMshrs;
+    rqParked = pqParked = false;
     e->valid = false;
     --mshrUsed;
     mshrFree.push_back(static_cast<unsigned>(e - mshr.data()));
@@ -405,12 +406,14 @@ Cache::nextEventCycle() const
         return *clock + 1;
     Cycle next = kNever;
     // Reads/prefetches are head-of-line: only the head's maturity
-    // (enqueue + lookup latency) gates progress.
-    if (!rq.empty()) {
+    // (enqueue + lookup latency) gates progress. A parked head waits on
+    // a readDone from below (bounded by that level) or on a pending
+    // write (already due next cycle), so it is not an event here.
+    if (!rq.empty() && !rqParked) {
         Cycle due = rq.front().enqueueCycle + cfg.latency;
         next = std::min(next, std::max(due, *clock + 1));
     }
-    if (!pq.empty()) {
+    if (!pq.empty() && !pqParked) {
         Cycle due = pq.front().enqueueCycle + cfg.latency;
         next = std::min(next, std::max(due, *clock + 1));
     }
@@ -442,7 +445,7 @@ void
 Cache::processReads()
 {
     unsigned done = 0;
-    while (done < cfg.maxReadsPerCycle && !rq.empty()) {
+    while (done < cfg.maxReadsPerCycle && !rq.empty() && !rqParked) {
         MemRequest &req = rq.front();
         if (req.enqueueCycle + cfg.latency > *clock)
             break;  // models the tag/data lookup latency
@@ -457,7 +460,7 @@ void
 Cache::processPrefetches()
 {
     unsigned done = 0;
-    while (done < cfg.maxPrefetchesPerCycle && !pq.empty()) {
+    while (done < cfg.maxPrefetchesPerCycle && !pq.empty() && !pqParked) {
         MemRequest &req = pq.front();
         if (req.enqueueCycle + cfg.latency > *clock)
             break;
@@ -472,8 +475,8 @@ bool
 Cache::handleRead(MemRequest &req)
 {
     // NOTE: statistics are counted only on success exits; a false
-    // return re-presents the same request next cycle (head-of-line
-    // blocking) and must be side-effect free.
+    // return re-presents the same request later (head-of-line blocking)
+    // and must be side-effect free.
     bool demand = isDemand(req.type);
 
     if (Line *l = findLine(req.pLine)) {
@@ -584,7 +587,10 @@ Cache::handleRead(MemRequest &req)
             ++stats.requestsBelow;
             return true;
         }
-        return false;  // retried next cycle
+        // Nothing below was asked, so only a freed MSHR or a fill of
+        // this line can change the outcome: park until one happens.
+        rqParked = true;
+        return false;
     }
 
     ++stats.tagReads;
@@ -662,8 +668,10 @@ Cache::handlePrefetch(MemRequest &req)
         // blocking the PQ behind demand pressure, demote the prefetch
         // one level (fill below instead) — the same orchestration idea
         // as Berti's MSHR-occupancy watermark.
-        if (cfg.level >= 3)
+        if (cfg.level >= 3) {
+            pqParked = true;  // as in handleRead
             return false;
+        }
         MemRequest fwd = req;
         fwd.client = nullptr;
         fwd.fillLevel = static_cast<FillLevel>(cfg.level + 1);
@@ -696,16 +704,24 @@ Cache::handlePrefetch(MemRequest &req)
 void
 Cache::retryUnsentMshrs()
 {
-    if (unsentMshrs == 0)
+    // A refused submitRead changes nothing, so an entry the level below
+    // says it must refuse is skipped without the call. Entries are still
+    // offered in index order, which keeps the lower queues' order exact.
+    if (unsentMshrs == 0 || !lower->mayAcceptAnyRead())
         return;
+    unsigned left = unsentMshrs;
     for (auto &e : mshr) {
-        if (e.valid && !e.sentBelow) {
-            e.sentBelow = lower->submitRead(e.fwd);
-            if (e.sentBelow) {
-                ++stats.requestsBelow;
-                --unsentMshrs;
-            }
+        if (!e.valid || e.sentBelow)
+            continue;
+        if (lower->mayAcceptRead(e.fwd.pLine) && lower->submitRead(e.fwd)) {
+            e.sentBelow = true;
+            ++stats.requestsBelow;
+            --unsentMshrs;
+            if (!lower->mayAcceptAnyRead())
+                return;
         }
+        if (--left == 0)
+            return;
     }
 }
 
@@ -738,6 +754,13 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
             lastEvictedUnusedPf = true;
         }
     }
+
+    // A parked head missed on its line; installing that line makes it a
+    // hit, so it must be handled again.
+    if (rqParked && rq.front().pLine == p_line)
+        rqParked = false;
+    if (pqParked && pq.front().pLine == p_line)
+        pqParked = false;
 
     Line &l = lines[base + way];
     l.pLine = p_line;
@@ -819,9 +842,11 @@ Cache::readDone(const MemRequest &req)
 // ---------------------------------------------------------------------
 // Checkpointing. Transient per-call scratch (trainVLine/trainIp, the
 // lastEvicted* pair, wakeScratch) is dead between ticks and deliberately
-// not serialized. Freed MSHR entries keep stale field junk at runtime,
-// so only valid entries are written and the rest are reset to defaults
-// on load — that keeps save -> load -> save byte-identical.
+// not serialized. The parking marks are not either: load clears them
+// and the next tick re-derives them. Freed MSHR entries keep stale
+// field junk at runtime, so only valid entries are written and the rest
+// are reset to defaults on load — that keeps save -> load -> save
+// byte-identical.
 
 void
 Cache::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
@@ -964,6 +989,7 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     wq.clear();
     for (std::uint32_t i = 0; i < nWq; ++i)
         wq.push_back(r.u64());
+    rqParked = pqParked = false;
 
     repl->loadState(r);
     fillLatencyHist->loadState(r);

@@ -48,6 +48,17 @@ class MemLevel
 
     /** Forward a dirty line eviction. Always accepted (soft capacity). */
     virtual void submitWriteback(Addr p_line) = 0;
+
+    /**
+     * Side-effect-free admission hints. false means submitRead of a
+     * request for p_line (any line, for mayAcceptAnyRead) would be
+     * refused right now, so a caller may skip the call; true only means
+     * "maybe". A level whose refusals change no state may override them
+     * to let callers skip doomed retries. The defaults keep every call:
+     * a decorator that does not forward them stays exact, only slower.
+     */
+    virtual bool mayAcceptRead(Addr /*p_line*/) const { return true; }
+    virtual bool mayAcceptAnyRead() const { return true; }
 };
 
 struct CacheConfig
@@ -139,6 +150,8 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     // MemLevel: entry points used by cores and upper caches.
     bool submitRead(MemRequest req) override;
     void submitWriteback(Addr p_line) override;
+    bool mayAcceptRead(Addr) const override { return rq.size() < cfg.rqSize; }
+    bool mayAcceptAnyRead() const override { return rq.size() < cfg.rqSize; }
 
     /** Advance one cycle: drain WQ, RQ, PQ, retry unsent MSHRs. */
     void tick();
@@ -149,7 +162,8 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
      * quiescence cycle-skip; see ARCHITECTURE.md, "Performance". The
      * bound must never be late: pending writes and unsent MSHR retries
      * are due next cycle, queued reads/prefetches mature when the head
-     * finishes its lookup latency.
+     * finishes its lookup latency, and a parked head waits for a fill
+     * from below, which the lower level's own bound covers.
      */
     Cycle nextEventCycle() const;
 
@@ -270,10 +284,12 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     void processPrefetches();
     void retryUnsentMshrs();
 
-    /** Handle one RQ entry; returns false if it must stay queued. */
+    /** Handle the RQ head; returns false if it must stay queued (and
+     *  parks it when only a freed MSHR or a fill can change that). */
     bool handleRead(MemRequest &req);
 
-    /** Handle one PQ entry; returns false if it must stay queued. */
+    /** Handle the PQ head; returns false if it must stay queued (and
+     *  parks it like handleRead). */
     bool handlePrefetch(MemRequest &req);
 
     /** Install a line; returns the installed way's Line. */
@@ -313,6 +329,12 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     std::vector<unsigned> mshrFree;  //!< free-list of mshr[] indices
     unsigned mshrUsed = 0;
     unsigned unsentMshrs = 0;        //!< valid entries with !sentBelow
+    // Head-of-line parking: the RQ/PQ head was refused for want of an
+    // MSHR, and handling it again cannot succeed until releaseMshr or a
+    // fill of its line clears the mark. A cache of a side-effect-free
+    // outcome, so never serialized.
+    bool rqParked = false;
+    bool pqParked = false;
     PfDispatch pfDispatch = PfDispatch::None;
     RingQueue<MemRequest> rq;
     RingQueue<MemRequest> pq;

@@ -105,6 +105,8 @@ class Dram : public mem::MemBackend
 
     bool submitRead(MemRequest req) override;
     void submitWriteback(Addr p_line) override;
+    bool mayAcceptRead(Addr) const override { return rq.size() < cfg.rqSize; }
+    bool mayAcceptAnyRead() const override { return rq.size() < cfg.rqSize; }
 
     void tick() override;
 

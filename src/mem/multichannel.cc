@@ -26,6 +26,22 @@ MultiChannelDram::submitRead(MemRequest req)
     return channelOf(req.pLine).submitRead(req);
 }
 
+bool
+MultiChannelDram::mayAcceptRead(Addr p_line) const
+{
+    return channels[p_line % channels.size()]->mayAcceptRead(p_line);
+}
+
+bool
+MultiChannelDram::mayAcceptAnyRead() const
+{
+    for (const auto &ch : channels) {
+        if (ch->mayAcceptAnyRead())
+            return true;
+    }
+    return false;
+}
+
 void
 MultiChannelDram::submitWriteback(Addr p_line)
 {

@@ -32,6 +32,11 @@ class MultiChannelDram : public MemBackend
     bool submitRead(MemRequest req) override;
     void submitWriteback(Addr p_line) override;
 
+    /** Per channel: p_line's channel has read-queue room. */
+    bool mayAcceptRead(Addr p_line) const override;
+    /** Some channel has read-queue room. */
+    bool mayAcceptAnyRead() const override;
+
     void tick() override;
     Cycle nextEventCycle() const override;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "mem/multichannel.hh"
 #include "test_util.hh"
 #include "vm/tlb.hh"
 
@@ -364,6 +365,279 @@ TEST_F(L1dFixture, PrefetchedLineCarriesLatencyToFirstHit)
     cache.submitRead(d);
     step(5);
     EXPECT_GE(spy_ptr->seen, 50u);  // the memory latency was recorded
+}
+
+// --------------------------------------------------------------------
+// Head-of-line parking and the lower level's admission hints.
+
+namespace
+{
+
+/** Fill all four MSHRs with misses, then queue a fifth miss behind
+ *  them, where it parks. */
+void
+blockHeadOnFullMshrs(CacheFixture &f, Addr blocked)
+{
+    for (Addr a = 0; a < 4; ++a)
+        f.cache.submitRead(load(a * 16 + 1, &f.client));
+    f.step(3);
+    ASSERT_EQ(f.cache.mshrsInUse(), 4u);
+    f.cache.submitRead(load(blocked, &f.client));
+    f.step(3);  // the head has matured and found no MSHR
+    ASSERT_EQ(f.cache.rqOccupancy(), 1u);
+}
+
+} // namespace
+
+TEST_F(CacheFixture, HeadBlockedOnFullMshrsIsParkedUntilOneFrees)
+{
+    blockHeadOnFullMshrs(*this, 999);
+    // Every miss is below and nothing else is queued: the parked head
+    // is not due again, so the cache has no event of its own.
+    EXPECT_EQ(cache.nextEventCycle(), kNever);
+
+    // It is handled on the very cycle the first fill frees an MSHR.
+    while (client.done.empty()) {
+        EXPECT_EQ(mem.reads, 4u);
+        EXPECT_EQ(cache.rqOccupancy(), 1u);
+        step(1);
+    }
+    EXPECT_EQ(mem.reads, 5u);
+    EXPECT_EQ(cache.rqOccupancy(), 0u);
+    EXPECT_EQ(cache.stats.demandMisses, 5u);
+}
+
+TEST_F(CacheFixture, WriteAllocateOfParkedLineMakesItAHitThatCycle)
+{
+    blockHeadOnFullMshrs(*this, 999);
+    EXPECT_EQ(cache.nextEventCycle(), kNever);
+
+    // A dirty eviction from above installs the blocked line: the next
+    // tick drains it and then serves the head as a hit, with no MSHR.
+    cache.submitWriteback(999);
+    EXPECT_EQ(cache.nextEventCycle(), clock + 1);
+    step(1);
+    ASSERT_EQ(client.done.size(), 1u);
+    EXPECT_EQ(client.done[0].pLine, 999u);
+    EXPECT_EQ(cache.stats.demandHits, 1u);
+    EXPECT_EQ(cache.rqOccupancy(), 0u);
+    EXPECT_EQ(mem.reads, 4u);
+}
+
+TEST_F(CacheFixture, FillOfAnotherLineLeavesTheHeadParked)
+{
+    blockHeadOnFullMshrs(*this, 999);
+    cache.submitWriteback(998);  // installs a different line
+    step(1);
+    EXPECT_EQ(cache.rqOccupancy(), 1u);
+    EXPECT_TRUE(client.done.empty());
+    EXPECT_EQ(cache.nextEventCycle(), kNever);
+}
+
+namespace
+{
+
+/** Accepts reads while it has room; its hints report that room. */
+struct GatedLevel : MemLevel
+{
+    unsigned room = 0;
+
+    bool
+    submitRead(MemRequest) override
+    {
+        if (room == 0)
+            return false;
+        --room;
+        return true;
+    }
+    void submitWriteback(Addr) override {}
+    bool mayAcceptRead(Addr) const override { return room > 0; }
+    bool mayAcceptAnyRead() const override { return room > 0; }
+};
+
+/** Forwards everything to `inner`, counting submitRead calls and
+ *  recording the lines it accepted, in order. */
+struct CountingLevel : MemLevel
+{
+    explicit CountingLevel(MemLevel &inner) : inner(inner) {}
+
+    bool
+    submitRead(MemRequest req) override
+    {
+        ++calls;
+        bool ok = inner.submitRead(req);
+        if (ok)
+            accepted.push_back(req.pLine);
+        return ok;
+    }
+    void submitWriteback(Addr p_line) override
+    {
+        inner.submitWriteback(p_line);
+    }
+    bool mayAcceptRead(Addr p_line) const override
+    {
+        return inner.mayAcceptRead(p_line);
+    }
+    bool mayAcceptAnyRead() const override
+    {
+        return inner.mayAcceptAnyRead();
+    }
+
+    MemLevel &inner;
+    unsigned calls = 0;
+    std::vector<Addr> accepted;
+};
+
+CacheConfig
+llcConfig()
+{
+    CacheConfig cfg = smallConfig();
+    cfg.name = "llc";
+    cfg.level = 3;
+    cfg.mshrs = 8;
+    cfg.rqSize = 16;
+    return cfg;
+}
+
+/** Lines of the valid MSHRs not yet sent below, in MSHR index order. */
+std::vector<Addr>
+unsentInIndexOrder(const Cache &cache)
+{
+    std::vector<Addr> out;
+    for (const Cache::MshrView &v : cache.mshrSnapshot()) {
+        if (!v.sentBelow)
+            out.push_back(v.pLine);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(CacheParking, LlcPrefetchHeadParksOnFullMshrs)
+{
+    Cycle clock = 0;
+    CacheConfig cfg = llcConfig();
+    cfg.mshrs = 2;
+    Cache llc{cfg, &clock};
+    TestMemory mem{&clock, 50};
+    llc.setLower(&mem);
+    CollectingClient client;
+
+    llc.submitRead(load(1, &client));
+    llc.submitRead(load(2, &client));
+    ASSERT_TRUE(llc.issuePrefetch(3, FillLevel::LLC));
+    stepCycles(clock, llc, mem, 4);
+    ASSERT_EQ(llc.mshrsInUse(), 2u);
+    ASSERT_EQ(llc.pqOccupancy(), 1u);
+    // The LLC cannot demote a prefetch further, so it waits, parked.
+    EXPECT_EQ(llc.nextEventCycle(), kNever);
+
+    while (client.done.empty())
+        stepCycles(clock, llc, mem, 1);
+    EXPECT_EQ(llc.pqOccupancy(), 0u);
+    EXPECT_EQ(mem.reads, 3u);
+}
+
+TEST(CacheAdmissionHints, FullLowerLevelGetsNoRetriesAndResumesInIndexOrder)
+{
+    Cycle clock = 0;
+    Cache llc{llcConfig(), &clock};
+    GatedLevel gate;
+    CountingLevel lower{gate};
+    llc.setLower(&lower);
+    CollectingClient client;
+    auto run = [&](unsigned n) {
+        for (unsigned i = 0; i < n; ++i) {
+            ++clock;
+            llc.tick();
+        }
+    };
+
+    // Three misses go below; the first and third then complete, so the
+    // free list hands out MSHRs 2, 0 and 3 next, in that order.
+    gate.room = 3;
+    for (Addr a : {Addr{40}, Addr{41}, Addr{42}})
+        llc.submitRead(load(a, &client));
+    run(4);
+    ASSERT_EQ(lower.accepted, (std::vector<Addr>{40, 41, 42}));
+    for (Addr a : {Addr{40}, Addr{42}}) {
+        MemRequest fill = load(a, &llc);
+        llc.readDone(fill);
+    }
+
+    // The lower level is now full: each new miss tries once when it is
+    // allocated, then the level is never asked again while it says so.
+    for (Addr a : {Addr{50}, Addr{51}, Addr{52}})
+        llc.submitRead(load(a, &client));
+    run(4);
+    ASSERT_EQ(lower.calls, 6u);
+    std::vector<Addr> unsent = unsentInIndexOrder(llc);
+    ASSERT_EQ(unsent, (std::vector<Addr>{51, 50, 52}));  // MSHRs 0, 2, 3
+    run(50);
+    EXPECT_EQ(lower.calls, 6u);
+    EXPECT_EQ(unsentInIndexOrder(llc), unsent);
+
+    // Room for two: the first two in MSHR index order (not allocation
+    // order) go, and the call that would be refused is never made.
+    gate.room = 2;
+    run(1);
+    EXPECT_EQ(lower.calls, 8u);
+    EXPECT_EQ(lower.accepted, (std::vector<Addr>{40, 41, 42, 51, 50}));
+    EXPECT_EQ(unsentInIndexOrder(llc), (std::vector<Addr>{52}));
+    EXPECT_EQ(llc.stats.requestsBelow, 5u);
+
+    gate.room = 1;
+    run(1);
+    EXPECT_EQ(lower.calls, 9u);
+    EXPECT_TRUE(unsentInIndexOrder(llc).empty());
+}
+
+TEST(CacheAdmissionHints, FullChannelDoesNotHoldBackTheOtherChannel)
+{
+    Cycle clock = 0;
+    DramConfig dcfg;
+    dcfg.rqSize = 2;
+    mem::MultiChannelDram dram{dcfg, 2, &clock};  // even / odd lines
+    CountingLevel lower{dram};
+    Cache llc{llcConfig(), &clock};
+    llc.setLower(&lower);
+    CollectingClient client;
+
+    // Both channels full of ownerless reads.
+    for (Addr a : {Addr{100}, Addr{102}, Addr{101}, Addr{103}}) {
+        MemRequest r;
+        r.pLine = a;
+        ASSERT_TRUE(dram.submitRead(r));
+    }
+    ASSERT_FALSE(dram.mayAcceptAnyRead());
+
+    // Four misses, two per channel, all refused at allocation.
+    for (Addr a : {Addr{10}, Addr{11}, Addr{12}, Addr{13}})
+        llc.submitRead(load(a, &client));
+    for (unsigned i = 0; i < 4; ++i) {
+        ++clock;
+        llc.tick();
+    }
+    ASSERT_EQ(unsentInIndexOrder(llc), (std::vector<Addr>{10, 11, 12, 13}));
+    ASSERT_EQ(lower.calls, 4u);
+
+    // One DRAM tick schedules a read on each channel; refill the even
+    // one, so only the odd channel has room.
+    ++clock;
+    dram.tick();
+    MemRequest top_up;
+    top_up.pLine = 104;
+    ASSERT_TRUE(dram.submitRead(top_up));
+    EXPECT_FALSE(dram.mayAcceptRead(10));
+    EXPECT_TRUE(dram.mayAcceptRead(11));
+    EXPECT_TRUE(dram.mayAcceptAnyRead());
+
+    // The odd-channel MSHR goes although even-channel MSHRs come first
+    // in index order; nothing is offered to the full even channel.
+    llc.tick();
+    EXPECT_EQ(lower.accepted, (std::vector<Addr>{11}));
+    EXPECT_EQ(lower.calls, 5u);
+    EXPECT_EQ(unsentInIndexOrder(llc), (std::vector<Addr>{10, 12, 13}));
 }
 
 } // namespace berti

@@ -21,6 +21,7 @@
 #include "harness/experiment.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
+#include "sim/rng.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
 
@@ -115,18 +116,14 @@ loadGolden(const std::string &path, std::string *error)
     }
 }
 
-class GoldenTest : public ::testing::TestWithParam<
-                       std::tuple<std::string, std::string>>
-{};
-
-TEST_P(GoldenTest, MatchesCheckedInStats)
+/**
+ * Byte-compare one cell's exported JSON against its golden, or rewrite
+ * the golden in update mode. `cell` names the cell in failure messages.
+ */
+void
+checkAgainstGolden(const std::string &cell, const std::string &path,
+                   const std::string &actual_json)
 {
-    const auto &[workload, spec] = GetParam();
-    SimResult r =
-        simulate(findWorkload(workload), makeSpec(spec), goldenParams());
-    std::string actual_json = obs::toJson(resultSnapshot(r));
-    std::string path = goldenPath(workload, spec);
-
     if (updateMode()) {
         obs::writeFile(path, actual_json);
         GTEST_SKIP() << "updated golden " << path;
@@ -152,9 +149,22 @@ TEST_P(GoldenTest, MatchesCheckedInStats)
         << "golden " << path
         << " differs only in formatting — regenerate it with "
            "tools/update_goldens.sh";
-    FAIL() << workload << " x " << spec << ": " << diffs.size()
-           << " field(s) drifted from " << path << "\n"
+    FAIL() << cell << ": " << diffs.size() << " field(s) drifted from "
+           << path << "\n"
            << obs::formatDiff(diffs);
+}
+
+class GoldenTest : public ::testing::TestWithParam<
+                       std::tuple<std::string, std::string>>
+{};
+
+TEST_P(GoldenTest, MatchesCheckedInStats)
+{
+    const auto &[workload, spec] = GetParam();
+    SimResult r =
+        simulate(findWorkload(workload), makeSpec(spec), goldenParams());
+    checkAgainstGolden(workload + " x " + spec, goldenPath(workload, spec),
+                       obs::toJson(resultSnapshot(r)));
 }
 
 std::vector<std::tuple<std::string, std::string>>
@@ -186,14 +196,86 @@ cellName(const ::testing::TestParamInfo<
 INSTANTIATE_TEST_SUITE_P(Matrix, GoldenTest,
                          ::testing::ValuesIn(goldenMatrix()), cellName);
 
+/** Multi-core goldens: Fig. 20's first 4-core mix (drawn from the
+ *  SPEC+GAP pool with the figure's seed) x berti on a shared LLC, under
+ *  the default single-channel ddr4 backend and under the multi-channel
+ *  hbm model. These pin the paths the single-core matrix never reaches:
+ *  LLC misses retried while DRAM's read queue is full, and on hbm one
+ *  channel full while another has room. hbm runs two channels: at its
+ *  default eight, the channels' read queues hold 256 reads, as many as
+ *  the LLC has MSHRs, and on this mix none of them ever fills. */
+const std::vector<std::string> kMixBackends = {"", "dram:hbm;channels=2"};
+
+std::vector<Workload>
+fig20FirstMix()
+{
+    std::vector<Workload> pool = specGapWorkloads();
+    Rng rng(0x20221001);
+    std::vector<Workload> mix;
+    for (unsigned c = 0; c < 4; ++c)
+        mix.push_back(pool[rng.nextBounded(pool.size())]);
+    return mix;
+}
+
+std::string
+mixGoldenPath(const std::string &backend)
+{
+    return goldenPath("mix4-fig20.0",
+                      "berti" + (backend.empty() ? "" : "@" + backend));
+}
+
+/** One snapshot per core, merged under "core<i>." prefixes. */
+obs::MetricsSnapshot
+mixSnapshot(const std::vector<SimResult> &results)
+{
+    obs::MetricsSnapshot out;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        std::string prefix = "core" + std::to_string(c) + ".";
+        obs::MetricsSnapshot core = resultSnapshot(results[c]);
+        for (const auto &[name, v] : core.values()) {
+            if (v.kind == obs::MetricKind::Counter)
+                out.setCounter(prefix + name, v.u);
+            else
+                out.setGauge(prefix + name, v.d);
+        }
+    }
+    return out;
+}
+
+class MixGoldenTest : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(MixGoldenTest, MatchesCheckedInStats)
+{
+    const std::string &backend = GetParam();
+    SimParams params = goldenParams();
+    params.memBackend = backend;
+    std::vector<SimResult> r =
+        simulateMix(fig20FirstMix(), makeSpec("berti"), params);
+    checkAgainstGolden(
+        "4-core mix x berti on " + (backend.empty() ? "dram:ddr4" : backend),
+        mixGoldenPath(backend), obs::toJson(mixSnapshot(r)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, MixGoldenTest, ::testing::ValuesIn(kMixBackends),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param.empty() ? std::string("ddr4")
+                                  : std::string("hbm");
+    });
+
 /** The golden schema itself is pinned: parsing a golden back must give
  *  the same document, so future schema bumps are deliberate. */
 TEST(GoldenSchema, GoldensRoundTripAtCurrentVersion)
 {
     if (updateMode())
         GTEST_SKIP() << "goldens being regenerated";
-    for (const auto &[w, s] : goldenMatrix()) {
-        std::string path = goldenPath(w, s);
+    std::vector<std::string> paths;
+    for (const auto &[w, s] : goldenMatrix())
+        paths.push_back(goldenPath(w, s));
+    for (const auto &backend : kMixBackends)
+        paths.push_back(mixGoldenPath(backend));
+    for (const std::string &path : paths) {
         std::string error;
         std::optional<obs::MetricsSnapshot> snap =
             loadGolden(path, &error);

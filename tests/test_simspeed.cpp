@@ -78,7 +78,8 @@ namespace berti
 namespace
 {
 
-/** Scoped environment override; restores the previous value on exit. */
+/** Scoped environment override (a null value unsets the variable);
+ *  restores the previous value on exit. */
 class ScopedEnv
 {
   public:
@@ -89,7 +90,10 @@ class ScopedEnv
             had = true;
             previous = old;
         }
-        setenv(name, value, 1);
+        if (value)
+            setenv(name, value, 1);
+        else
+            unsetenv(name);
     }
 
     ~ScopedEnv()
@@ -198,6 +202,9 @@ TEST(IdSet, InsertEraseCount)
 
 TEST(SimOptionsSkip, DefaultsOnAndHonoursEnv)
 {
+    // The default is what an unset variable gives, whatever the
+    // caller's environment says.
+    ScopedEnv unset("BERTI_CYCLE_SKIP", nullptr);
     EXPECT_TRUE(sim::SimOptions::fromEnv().cycleSkip);
     {
         ScopedEnv off("BERTI_CYCLE_SKIP", "0");

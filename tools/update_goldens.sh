@@ -20,7 +20,7 @@ for t in test_golden test_sampling; do
 done
 
 BERTI_UPDATE_GOLDENS=1 "$build/tests/test_golden" \
-    --gtest_filter='Matrix/GoldenTest.*'
+    --gtest_filter='Matrix/GoldenTest.*:Matrix/MixGoldenTest.*'
 
 # The sampled-interval sidecars (*.sampled.json) live in the same
 # directory and regenerate the same way.
