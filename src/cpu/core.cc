@@ -234,18 +234,21 @@ Core::readDone(const MemRequest &req)
         return;
     }
 
-    // Load completion: find the ROB entry (loads complete roughly in
-    // order, so the scan terminates quickly in practice).
-    for (auto &e : rob) {
-        if (e.id == req.instrId) {
-            if (e.pendingLoads > 0)
-                --e.pendingLoads;
-            if (e.pendingLoads == 0) {
-                e.done = true;
-                outstandingLoads.erase(e.id);
-            }
-            return;
-        }
+    // Load completion. ROB ids are consecutive (every fetched
+    // instruction enters the ROB, in order), so the entry sits at a fixed
+    // offset from the head. An id outside the ROB (already retired, or
+    // not yet dispatched) wraps or overshoots the offset and is ignored.
+    if (rob.empty())
+        return;
+    std::uint64_t offset = req.instrId - rob.front().id;
+    if (offset >= rob.size())
+        return;
+    RobEntry &e = rob[offset];
+    if (e.pendingLoads > 0)
+        --e.pendingLoads;
+    if (e.pendingLoads == 0) {
+        e.done = true;
+        outstandingLoads.erase(e.id);
     }
 }
 

@@ -235,13 +235,22 @@ Machine::registerAllMetrics()
 void
 Machine::tick()
 {
+    // A cache is ticked only once it is awake: until wakeCycle() its
+    // tick would do nothing. Input that reaches a cache before its turn
+    // in this cycle (a fill from below) wakes it for this cycle's tick;
+    // input after its turn (a request from above) wakes it for the next
+    // one, exactly when an every-cycle tick would first see it.
+    auto tickAwake = [this](Cache &c) {
+        if (c.wakeCycle() <= clock)
+            c.tick();
+    };
     ++clock;
     dram->tick();
-    llc->tick();
+    tickAwake(*llc);
     for (auto &n : nodes) {
-        n->l2Cache->tick();
-        n->l1dCache->tick();
-        n->l1iCache->tick();
+        tickAwake(*n->l2Cache);
+        tickAwake(*n->l1dCache);
+        tickAwake(*n->l1iCache);
         n->cpu->tick();
     }
     if (audit)

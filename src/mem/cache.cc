@@ -42,15 +42,16 @@ Cache::Cache(const CacheConfig &config, const Cycle *clock_ptr)
       pf(std::make_unique<NoPrefetcher>()),
       repl(makeReplPolicy(cfg.repl, cfg.sets, cfg.ways)),
       lines(static_cast<std::size_t>(cfg.sets) * cfg.ways),
-      mshr(cfg.mshrs)
+      mshr(cfg.mshrs), mshrIndex(cfg.mshrs)
 {
     validateCacheConfig(cfg);
     pf->bind(this);
 
     // Steady-state allocation-free hot path: every queue, the MSHR
-    // free-list and the waiter-wake scratch are sized up front. The
-    // write queue is soft-capacity (submitWriteback never refuses), so
-    // it reserves headroom and only reallocates under burst pressure.
+    // free-list and line index and the waiter-wake scratch are sized up
+    // front. The write queue is soft-capacity (submitWriteback never
+    // refuses), so it reserves headroom and only reallocates under burst
+    // pressure.
     rq.reserve(cfg.rqSize);
     pq.reserve(cfg.pqSize ? cfg.pqSize : 1);
     wq.reserve(2 * static_cast<std::size_t>(cfg.wqSize) + 8);
@@ -184,23 +185,22 @@ Cache::findLine(Addr p_line) const
 Cache::MshrEntry *
 Cache::findMshr(Addr p_line)
 {
-    for (auto &e : mshr) {
-        if (e.valid && e.pLine == p_line)
-            return &e;
-    }
-    return nullptr;
+    unsigned slot = mshrIndex.find(p_line);
+    return slot == MshrIndex::kNone ? nullptr : &mshr[slot];
 }
 
 Cache::MshrEntry *
-Cache::allocMshr()
+Cache::allocMshr(Addr p_line)
 {
     if (mshrFree.empty())
         return nullptr;
-    MshrEntry &e = mshr[mshrFree.back()];
+    unsigned slot = mshrFree.back();
     mshrFree.pop_back();
+    mshrIndex.insert(p_line, slot);
+    MshrEntry &e = mshr[slot];
     // Field-wise reset instead of `e = MshrEntry{}` so the waiters
     // vector keeps its capacity across reuse (allocation-free arena).
-    e.pLine = kNoAddr;
+    e.pLine = p_line;
     e.vLine = kNoAddr;
     e.ip = 0;
     e.isPrefetch = false;
@@ -222,6 +222,7 @@ Cache::releaseMshr(MshrEntry *e)
     if (!e->sentBelow)
         --unsentMshrs;
     rqParked = pqParked = false;
+    mshrIndex.erase(e->pLine);
     e->valid = false;
     --mshrUsed;
     mshrFree.push_back(static_cast<unsigned>(e - mshr.data()));
@@ -249,6 +250,7 @@ Cache::submitRead(MemRequest req)
         return false;
     req.enqueueCycle = *clock;
     rq.push_back(req);
+    wakeAt = *clock;
     return true;
 }
 
@@ -258,6 +260,7 @@ Cache::submitWriteback(Addr p_line)
     // Soft capacity: writebacks are never refused to keep the fill path
     // deadlock-free; sizes beyond wqSize only happen in short bursts.
     wq.push_back(p_line);
+    wakeAt = *clock;
 }
 
 bool
@@ -310,6 +313,7 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
         return false;
     }
     pq.push_back(req);
+    wakeAt = *clock;
     ++stats.prefetchIssued;
 
     // Classify against the access that (synchronously) triggered this
@@ -396,6 +400,7 @@ Cache::tick()
     // ignore it.
     if (pfDispatch == PfDispatch::Virtual)
         pf->tick();
+    wakeAt = nextEventCycle();
 }
 
 Cycle
@@ -573,7 +578,7 @@ Cache::handleRead(MemRequest &req)
         return true;
     }
 
-    MshrEntry *e = allocMshr();
+    MshrEntry *e = allocMshr(req.pLine);
     if (!e) {
         // Ownerless in-flight prefetches (nobody above waits on them)
         // are demoted below instead of head-of-line blocking the RQ.
@@ -598,7 +603,6 @@ Cache::handleRead(MemRequest &req)
         ++stats.demandAccesses;
         ++stats.demandMisses;
     }
-    e->pLine = req.pLine;
     e->vLine = req.vLine;
     e->ip = req.ip;
     e->isPrefetch = req.type == AccessType::Prefetch;
@@ -662,7 +666,7 @@ Cache::handlePrefetch(MemRequest &req)
         return true;
     }
 
-    MshrEntry *e = allocMshr();
+    MshrEntry *e = allocMshr(req.pLine);
     if (!e) {
         // MSHRs exhausted by demand misses. Rather than head-of-line
         // blocking the PQ behind demand pressure, demote the prefetch
@@ -683,7 +687,6 @@ Cache::handlePrefetch(MemRequest &req)
     }
 
     ++stats.tagReads;
-    e->pLine = req.pLine;
     e->vLine = req.vLine;
     e->ip = req.ip;
     e->isPrefetch = true;
@@ -783,6 +786,7 @@ Cache::readDone(const MemRequest &req)
     MshrEntry *e = findMshr(req.pLine);
     if (!e)
         return;  // pass-through request; nothing waits here
+    wakeAt = *clock;
 
     bool fill_prefetched = e->isPrefetch && !e->hadDemand;
 
@@ -842,11 +846,12 @@ Cache::readDone(const MemRequest &req)
 // ---------------------------------------------------------------------
 // Checkpointing. Transient per-call scratch (trainVLine/trainIp, the
 // lastEvicted* pair, wakeScratch) is dead between ticks and deliberately
-// not serialized. The parking marks are not either: load clears them
-// and the next tick re-derives them. Freed MSHR entries keep stale
-// field junk at runtime, so only valid entries are written and the rest
-// are reset to defaults on load — that keeps save -> load -> save
-// byte-identical.
+// not serialized. Neither are the parking marks, the wake cycle and the
+// MSHR line index: load clears the marks and the wake cycle, which the
+// next tick re-derives, and rebuilds the index from the valid entries.
+// Freed MSHR entries keep stale field junk at runtime, so only valid
+// entries are written and the rest are reset to defaults on load — that
+// keeps save -> load -> save byte-identical.
 
 void
 Cache::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
@@ -976,6 +981,11 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     }
     mshrUsed = r.u32();
     unsentMshrs = r.u32();
+    mshrIndex.clear();
+    for (unsigned i = 0; i < mshr.size(); ++i) {
+        if (mshr[i].valid)
+            mshrIndex.insert(mshr[i].pLine, i);
+    }
 
     std::uint32_t nRq = r.u32();
     rq.clear();
@@ -990,6 +1000,7 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     for (std::uint32_t i = 0; i < nWq; ++i)
         wq.push_back(r.u64());
     rqParked = pqParked = false;
+    wakeAt = 0;
 
     repl->loadState(r);
     fillLatencyHist->loadState(r);

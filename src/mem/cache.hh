@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/mshr_index.hh"
 #include "mem/replacement.hh"
 #include "mem/request.hh"
 #include "prefetch/prefetcher.hh"
@@ -84,7 +85,8 @@ struct CacheConfig
 /**
  * One cache level. Cycle-stepped: the owner calls tick() once per core
  * cycle, after ticking the level below it so responses propagate upward
- * within a cycle in the right order.
+ * within a cycle in the right order. It may leave out the ticks of
+ * cycles before wakeCycle().
  */
 class Cache : public MemLevel, public ReadClient, public PrefetchPort
 {
@@ -155,6 +157,17 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
 
     /** Advance one cycle: drain WQ, RQ, PQ, retry unsent MSHRs. */
     void tick();
+
+    /**
+     * First cycle at which tick() may have work: nextEventCycle() as of
+     * the last tick, lowered to the current cycle by every input that
+     * can create work (an accepted submitRead or issuePrefetch, any
+     * submitWriteback, a readDone for a tracked miss). Skipping tick()
+     * while wakeCycle() is later than the clock changes nothing; the
+     * Machine ticks only awake caches. See ARCHITECTURE.md,
+     * "Performance".
+     */
+    Cycle wakeCycle() const { return wakeAt; }
 
     /**
      * Earliest future cycle at which tick() would do any work, given no
@@ -267,7 +280,10 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     Line *findLine(Addr p_line);
     const Line *findLine(Addr p_line) const;
     MshrEntry *findMshr(Addr p_line);
-    MshrEntry *allocMshr();
+
+    /** Take a free MSHR entry for p_line (null if none is free). At most
+     *  one valid entry may track a line: callers look up first. */
+    MshrEntry *allocMshr(Addr p_line);
 
     /** Return an MSHR entry to the free list (waiters must be empty or
      *  already swapped out; capacity is retained for reuse). */
@@ -326,6 +342,7 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
 
     std::vector<Line> lines;         //!< sets * ways
     std::vector<MshrEntry> mshr;
+    MshrIndex mshrIndex;             //!< pLine -> mshr[] index, valid only
     std::vector<unsigned> mshrFree;  //!< free-list of mshr[] indices
     unsigned mshrUsed = 0;
     unsigned unsentMshrs = 0;        //!< valid entries with !sentBelow
@@ -335,6 +352,8 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     // outcome, so never serialized.
     bool rqParked = false;
     bool pqParked = false;
+    // Tick gate (see wakeCycle()); derived state, never serialized.
+    Cycle wakeAt = 0;
     PfDispatch pfDispatch = PfDispatch::None;
     RingQueue<MemRequest> rq;
     RingQueue<MemRequest> pq;

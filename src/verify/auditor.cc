@@ -94,7 +94,8 @@ SimAuditor::checkCache(const Cache &cache) const
     // ------------------------------------------------ MSHR bookkeeping
     unsigned valid = 0;
     unsigned unsent = 0;
-    for (const auto &e : cache.mshr) {
+    for (unsigned slot = 0; slot < cache.mshr.size(); ++slot) {
+        const auto &e = cache.mshr[slot];
         if (!e.valid)
             continue;
         ++valid;
@@ -102,6 +103,14 @@ SimAuditor::checkCache(const Cache &cache) const
             ++unsent;
         if (e.pLine == kNoAddr)
             fail(name, "valid MSHR entry with no line address");
+        // findMshr answers from the line index alone, so every valid
+        // entry must be found through it, at its own slot. This also
+        // rules out two valid entries for one line.
+        if (cache.mshrIndex.find(e.pLine) != slot)
+            fail(name, "MSHR entry " + std::to_string(slot) + " (line " +
+                           std::to_string(e.pLine) +
+                           ") is not found at its slot through the MSHR "
+                           "line index");
         Cycle age = *clock >= e.ts ? *clock - e.ts : 0;
         if (age > cfg.mshrLeakCycles) {
             fail(name,
@@ -116,6 +125,12 @@ SimAuditor::checkCache(const Cache &cache) const
         fail(name, "MSHR in-use count " +
                        std::to_string(cache.mshrUsed) + " != " +
                        std::to_string(valid) + " valid entries");
+    }
+    if (cache.mshrIndex.size() != cache.mshrUsed) {
+        fail(name, "MSHR line index holds " +
+                       std::to_string(cache.mshrIndex.size()) +
+                       " lines but " + std::to_string(cache.mshrUsed) +
+                       " MSHR entries are in use (stale index entry)");
     }
 
     // -------------------------------------------- MSHR arena free-list
@@ -218,12 +233,16 @@ SimAuditor::checkCore(const Core &core) const
                        " exceeds declared bound " +
                        std::to_string(core.cfg.fetchBufferSize));
 
-    std::uint64_t last_id = 0;
+    // Core::readDone finds an entry at its id's offset from the head,
+    // which holds only while ROB ids are consecutive.
+    std::uint64_t want_id = core.rob.empty() ? 0 : core.rob.front().id;
     std::uint64_t pending_entries = 0;
     for (const auto &e : core.rob) {
-        if (e.id <= last_id)
-            fail(name, "ROB ids not strictly increasing");
-        last_id = e.id;
+        if (e.id == 0 || e.id != want_id)
+            fail(name, "ROB ids not consecutive: entry " +
+                           std::to_string(e.id) + " where " +
+                           std::to_string(want_id) + " belongs");
+        ++want_id;
         if (!e.done && e.pendingLoads == 0)
             fail(name, "ROB entry " + std::to_string(e.id) +
                            " incomplete with no pending loads");

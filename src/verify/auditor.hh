@@ -8,12 +8,15 @@
  *   - MSHR bookkeeping is leak-free: the in-use count matches the valid
  *     entries, and no entry is older than a leak threshold (a leaked
  *     entry would silently corrupt Berti's measured fill latency);
+ *   - the MSHR line index finds every valid entry at its own slot and
+ *     holds nothing else;
  *   - RQ / PQ / WQ occupancies stay within their declared bounds;
  *   - tag arrays never hold two copies of the same line, and every
  *     valid line maps to the set it sits in;
  *   - the cache-stats algebra holds (accesses = hits + misses + merges);
- *   - ROB / fetch-buffer occupancies respect the core configuration and
- *     the outstanding-load set matches the ROB's pending entries;
+ *   - ROB / fetch-buffer occupancies respect the core configuration, ROB
+ *     ids are consecutive, and the outstanding-load set matches the
+ *     ROB's pending entries;
  *   - TLB sets hold no duplicate pages, every cached page sits in its
  *     home set, and each cached translation agrees with the page table.
  *
@@ -98,6 +101,14 @@ class SimAuditor
     Cycle nextCheckCycle() const { return lastCheck + cfg.interval; }
 
     std::uint64_t checksRun() const { return checks; }
+
+    /**
+     * Declared, never defined here. A nested class shares the
+     * auditor's friend access to the structures it checks, so a test
+     * that defines this type can corrupt one of them and confirm the
+     * matching check fails.
+     */
+    struct TestAccess;
 
   private:
     void checkCache(const Cache &cache) const;

@@ -1,11 +1,20 @@
 /** @file Cache-level unit tests: hits, misses, MSHRs, fills, prefetch
- *  queue semantics, writebacks, statistics. */
+ *  queue semantics, writebacks, statistics, the tick gate and the MSHR
+ *  line index. */
+
+#include <algorithm>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "mem/mshr_index.hh"
 #include "mem/multichannel.hh"
+#include "prefetch/next_line.hh"
+#include "sim/rng.hh"
+#include "sim/serialize.hh"
 #include "test_util.hh"
+#include "verify/auditor.hh"
 #include "vm/tlb.hh"
 
 namespace berti
@@ -638,6 +647,363 @@ TEST(CacheAdmissionHints, FullChannelDoesNotHoldBackTheOtherChannel)
     EXPECT_EQ(lower.accepted, (std::vector<Addr>{11}));
     EXPECT_EQ(lower.calls, 5u);
     EXPECT_EQ(unsentInIndexOrder(llc), (std::vector<Addr>{10, 12, 13}));
+}
+
+// ------------------------------------------- tick gate and MSHR index
+
+namespace
+{
+
+/**
+ * Lower level with a bounded queue that answers each read after a
+ * seeded random delay, so fills come back out of order.
+ */
+struct ShuffledLevel : MemLevel
+{
+    ShuffledLevel(const Cycle *clock, std::uint64_t seed, unsigned room)
+        : clock(clock), rng(seed), room(room)
+    {}
+
+    bool
+    submitRead(MemRequest req) override
+    {
+        if (pending.size() >= room)
+            return false;
+        pending.push_back({*clock + 5 + rng.nextBounded(60), req});
+        return true;
+    }
+
+    void submitWriteback(Addr) override { ++writebacks; }
+
+    /** Deliver every response that is due, oldest request first. */
+    void
+    tick()
+    {
+        for (std::size_t i = 0; i < pending.size();) {
+            if (pending[i].first > *clock) {
+                ++i;
+                continue;
+            }
+            MemRequest req = pending[i].second;
+            pending.erase(pending.begin() + static_cast<long>(i));
+            if (req.client)
+                req.client->readDone(req);
+        }
+    }
+
+    const Cycle *clock;
+    Rng rng;
+    unsigned room;
+    std::vector<std::pair<Cycle, MemRequest>> pending;
+    std::uint64_t writebacks = 0;
+};
+
+/** An L2-like level with a next-line prefetcher, driven by hand. */
+struct DrivenCache
+{
+    DrivenCache(const Cycle *clock, std::uint64_t seed)
+        : cache(config(), clock), lower(clock, seed, 5)
+    {
+        cache.setLower(&lower);
+        cache.setPrefetcher(std::make_unique<NextLinePrefetcher>());
+        clients.add(static_cast<ReadClient *>(&client));
+        clients.add(static_cast<ReadClient *>(&cache));
+    }
+
+    static CacheConfig
+    config()
+    {
+        CacheConfig cfg = smallConfig();
+        cfg.name = "l2-twin";
+        cfg.level = 2;
+        cfg.latency = 3;
+        return cfg;
+    }
+
+    std::string
+    bytes() const
+    {
+        sim::ByteWriter w;
+        cache.saveState(w, clients);
+        return w.take();
+    }
+
+    Cache cache;
+    ShuffledLevel lower;
+    CollectingClient client;
+    sim::PtrMap clients;
+};
+
+} // namespace
+
+namespace
+{
+
+/**
+ * Two identical caches see the same inputs in the same order within
+ * each cycle: fills from below before their turn, requests from above
+ * after it. One is ticked every cycle, the other only while awake.
+ * Their whole state must agree after every cycle.
+ */
+void
+checkTwins(std::uint64_t seed)
+{
+    Cycle clock = 0;
+    DrivenCache every(&clock, seed);
+    DrivenCache gated(&clock, seed);
+    Rng script(seed * 31 + 1);
+    unsigned gated_ticks = 0;
+    const unsigned cycles = 6000;
+    for (unsigned c = 0; c < cycles; ++c) {
+        ++clock;
+        every.lower.tick();
+        gated.lower.tick();
+        every.cache.tick();
+        if (gated.cache.wakeCycle() <= clock) {
+            gated.cache.tick();
+            ++gated_ticks;
+        }
+
+        // Bursts of requests from above, then quiet stretches in which
+        // the gated cache drains and sleeps.
+        if (c % 600 < 100 && script.nextBool(0.3)) {
+            Addr line = 64 + script.nextBounded(48);
+            unsigned kind = static_cast<unsigned>(script.nextBounded(8));
+            for (DrivenCache *d : {&every, &gated}) {
+                Cache &cache = d->cache;
+                if (kind < 4) {
+                    MemRequest r = load(line, &d->client);
+                    if (kind == 3)
+                        r.type = AccessType::Rfo;
+                    cache.submitRead(r);
+                } else if (kind < 6) {
+                    cache.issuePrefetch(line, FillLevel::L2);
+                } else if (kind == 6) {
+                    cache.submitWriteback(line);
+                } else {
+                    MemRequest r = load(line, nullptr);
+                    r.type = AccessType::Prefetch;
+                    r.instrId = 0;
+                    r.fillLevel = FillLevel::LLC;  // passes through
+                    cache.submitRead(r);
+                }
+            }
+        }
+        ASSERT_EQ(every.bytes(), gated.bytes()) << "cycle " << clock;
+        ASSERT_EQ(every.client.done.size(), gated.client.done.size());
+    }
+    EXPECT_GT(every.cache.stats.fills, 100u);
+    EXPECT_GT(every.cache.stats.writebacks, 0u);
+    EXPECT_GT(every.cache.stats.prefetchIssued, 100u);
+    // The gate must actually have skipped most cycles.
+    EXPECT_LT(gated_ticks, cycles / 2);
+}
+
+} // namespace
+
+TEST(CacheTickGate, TickingOnlyWhenAwakeMatchesTickingEveryCycle)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        checkTwins(seed);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(CacheTickGate, EachInputWakesADrainedCache)
+{
+    Cycle clock = 0;
+    CacheConfig cfg = smallConfig();
+    cfg.level = 2;  // physical prefetches: no TLB needed
+    Cache cache{cfg, &clock};
+    TestMemory mem{&clock, 50};
+    cache.setLower(&mem);
+    CollectingClient client;
+    // Tick while awake until the cache has no event of its own.
+    auto drain = [&] {
+        for (unsigned i = 0; i < 200 && cache.wakeCycle() != kNever; ++i) {
+            ++clock;
+            mem.tick();
+            if (cache.wakeCycle() <= clock)
+                cache.tick();
+        }
+        ASSERT_EQ(cache.wakeCycle(), kNever);
+    };
+
+    // A fresh cache is awake until its first tick.
+    EXPECT_EQ(cache.wakeCycle(), 0u);
+    drain();
+
+    ASSERT_TRUE(cache.submitRead(load(5, &client)));
+    EXPECT_LE(cache.wakeCycle(), clock);
+    drain();  // the miss is below; the cache sleeps until its fill
+    ASSERT_EQ(cache.mshrsInUse(), 1u);
+    ASSERT_TRUE(client.done.empty());
+
+    while (!mem.pending.empty()) {
+        ++clock;
+        mem.tick();  // readDone arrives here
+    }
+    EXPECT_EQ(cache.wakeCycle(), clock);
+    EXPECT_EQ(client.done.size(), 1u);  // the fill itself wakes waiters
+    drain();
+
+    cache.submitWriteback(9);
+    EXPECT_LE(cache.wakeCycle(), clock);
+    drain();
+    EXPECT_TRUE(cache.probeDirty(9));
+
+    ASSERT_TRUE(cache.issuePrefetch(13, FillLevel::L2));
+    EXPECT_LE(cache.wakeCycle(), clock);
+    drain();
+    EXPECT_EQ(cache.mshrsInUse(), 1u);
+}
+
+TEST(MshrIndex, CollidingLinesChurnAgreesWithALinearScan)
+{
+    constexpr unsigned kSlots = 8;
+    MshrIndex index(kSlots);
+    ASSERT_GE(index.buckets(), 2u * kSlots);
+
+    // Lines whose probes start in the last bucket (their chains wrap
+    // around) or in the first two, so every chain overlaps the others.
+    std::vector<Addr> pool;
+    unsigned at_last = 0, at_first = 0, at_second = 0;
+    for (Addr line = 1; pool.size() < 24; ++line) {
+        std::size_t h = index.home(line);
+        if (h == index.buckets() - 1 && at_last < 10) {
+            ++at_last;
+            pool.push_back(line);
+        } else if (h == 0 && at_first < 8) {
+            ++at_first;
+            pool.push_back(line);
+        } else if (h == 1 && at_second < 6) {
+            ++at_second;
+            pool.push_back(line);
+        }
+    }
+
+    // Reference: which line each slot holds, searched linearly.
+    std::vector<Addr> slotLine(kSlots, kNoAddr);
+    auto linearFind = [&](Addr line) {
+        for (unsigned s = 0; s < kSlots; ++s) {
+            if (slotLine[s] == line)
+                return s;
+        }
+        return MshrIndex::kNone;
+    };
+
+    Rng rng(5);
+    for (unsigned step = 0; step < 5000; ++step) {
+        unsigned used = static_cast<unsigned>(
+            std::count_if(slotLine.begin(), slotLine.end(),
+                          [](Addr a) { return a != kNoAddr; }));
+        Addr line = pool[rng.nextBounded(pool.size())];
+        unsigned slot = linearFind(line);
+        if (slot != MshrIndex::kNone) {
+            index.erase(line);
+            slotLine[slot] = kNoAddr;
+        } else if (used < kSlots) {
+            unsigned free_slot = linearFind(kNoAddr);
+            index.insert(line, free_slot);
+            slotLine[free_slot] = line;
+        }
+        ASSERT_EQ(index.size(),
+                  static_cast<std::size_t>(std::count_if(
+                      slotLine.begin(), slotLine.end(),
+                      [](Addr a) { return a != kNoAddr; })));
+        for (Addr probe : pool)
+            ASSERT_EQ(index.find(probe), linearFind(probe))
+                << "step " << step << " line " << probe;
+    }
+
+    index.clear();
+    EXPECT_EQ(index.size(), 0u);
+    for (Addr probe : pool)
+        EXPECT_EQ(index.find(probe), MshrIndex::kNone);
+}
+
+TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
+{
+    Cycle clock = 0;
+    CacheConfig cfg = smallConfig();  // 8 lines: the churn keeps missing
+    cfg.name = "index-churn";
+    cfg.mshrs = 8;
+    cfg.rqSize = 16;
+    Cache cache{cfg, &clock};
+    ShuffledLevel lower{&clock, 3, 16};
+    cache.setLower(&lower);
+    CollectingClient client;
+
+    // Lines that collide in this cache's index (same table geometry).
+    MshrIndex shape(cfg.mshrs);
+    std::vector<Addr> lines;
+    for (Addr line = 1; lines.size() < 20; ++line) {
+        if (shape.home(line) < 2)
+            lines.push_back(line);
+    }
+
+    verify::AuditConfig acfg;
+    acfg.enabled = true;
+    verify::SimAuditor auditor(acfg, &clock);
+    auditor.attach(&cache);
+
+    // Random misses to the colliding lines, filled out of order, with
+    // dirty evictions from above installing some of them mid-flight.
+    Rng rng(9);
+    unsigned peak = 0;
+    for (unsigned c = 0; c < 4000; ++c) {
+        ++clock;
+        lower.tick();
+        cache.tick();
+        Addr line = lines[rng.nextBounded(lines.size())];
+        if (rng.nextBool(0.5))
+            cache.submitRead(load(line, &client));
+        else if (rng.nextBool(0.05))
+            cache.submitWriteback(line);
+        peak = std::max(peak, static_cast<unsigned>(cache.mshrsInUse()));
+        ASSERT_NO_THROW(auditor.checkNow()) << "cycle " << clock;
+    }
+    EXPECT_EQ(peak, cfg.mshrs);
+    // Checkpoint with misses in flight: stop answering them.
+    for (unsigned i = 0; i < 100 && cache.mshrsInUse() < 3; ++i) {
+        ++clock;
+        cache.tick();
+        cache.submitRead(load(lines[i % lines.size()], &client));
+    }
+    ASSERT_GE(cache.mshrsInUse(), 3u);
+
+    // save -> load -> save is byte-identical, and the restored cache
+    // finds every in-flight miss through its rebuilt index.
+    sim::PtrMap clients;
+    clients.add(static_cast<ReadClient *>(&client));
+    clients.add(static_cast<ReadClient *>(&cache));
+    sim::ByteWriter first;
+    cache.saveState(first, clients);
+
+    Cache restored{cfg, &clock};
+    restored.setLower(&lower);
+    sim::PtrMap restored_clients;
+    restored_clients.add(static_cast<ReadClient *>(&client));
+    restored_clients.add(static_cast<ReadClient *>(&restored));
+    sim::ByteReader r(first.data(), "test");
+    restored.loadState(r, restored_clients);
+    sim::ByteWriter second;
+    restored.saveState(second, restored_clients);
+    EXPECT_EQ(first.data(), second.data());
+
+    verify::SimAuditor restored_auditor(acfg, &clock);
+    restored_auditor.attach(&restored);
+    EXPECT_NO_THROW(restored_auditor.checkNow());
+    std::size_t woken = client.done.size();
+    for (const Cache::MshrView &v : restored.mshrSnapshot()) {
+        MemRequest fill = load(v.pLine, &restored);
+        restored.readDone(fill);
+    }
+    EXPECT_EQ(restored.mshrsInUse(), 0u);
+    EXPECT_GT(client.done.size(), woken);
+    EXPECT_NO_THROW(restored_auditor.checkNow());
 }
 
 } // namespace berti

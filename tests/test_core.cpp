@@ -1,10 +1,12 @@
 /** @file Core pipeline tests, driven through the Machine harness with
- *  scripted traces. */
+ *  scripted traces, plus load completion on a hand-wired core. */
 
 #include <gtest/gtest.h>
 
 #include "harness/machine.hh"
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
+#include "test_util.hh"
 
 namespace berti
 {
@@ -191,6 +193,184 @@ TEST(Machine, SunnyCoveMatchesTableTwo)
     EXPECT_EQ(cfg.llc.sets * cfg.llc.ways * kLineSize, 2048u * 1024);
     EXPECT_EQ(cfg.llc.repl, ReplKind::Drrip);
     EXPECT_EQ(cfg.dram.mtps, 6400u);
+}
+
+// ------------------------------------------------ load completion
+
+namespace
+{
+
+/**
+ * One core wired by hand to an L1I and an L1D. The L1D's memory holds
+ * every load miss until the test delivers it, so the order in which
+ * loads complete is the test's choice.
+ */
+struct HandCore
+{
+    explicit HandCore(std::vector<TraceInstr> script)
+        : gen(std::move(script)), tu(TranslationUnit::Config{}),
+          l1i(cacheConfig("l1i"), &clock), l1d(cacheConfig("l1d"), &clock),
+          core(coreConfig(), &clock, 0, &gen, &l1i, &l1d, &tu)
+    {
+        l1i.setLower(&iMem);
+        l1d.setLower(&dMem);
+        clients.add(static_cast<ReadClient *>(&core));
+    }
+
+    /** A power-of-two ROB fills its ring exactly, so an offset one past
+     *  the last entry would wrap onto the head. */
+    static CoreConfig
+    coreConfig()
+    {
+        CoreConfig cfg;
+        cfg.robSize = 64;
+        return cfg;
+    }
+
+    static CacheConfig
+    cacheConfig(const char *name)
+    {
+        CacheConfig cfg;
+        cfg.name = name;
+        return cfg;
+    }
+
+    void
+    step(unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i) {
+            ++clock;
+            iMem.tick();
+            l1i.tick();
+            l1d.tick();
+            core.tick();
+        }
+    }
+
+    /**
+     * Run until the ROB is full behind the first instruction and every
+     * load dispatched so far waits in the L1D on one of its misses.
+     * (Instruction 1's own loads are the last to get there: they pay
+     * the page walks that later loads then hit in the TLB.)
+     */
+    void
+    fillRobBehindMisses()
+    {
+        for (unsigned i = 0; i < 5000; ++i) {
+            if (core.robOccupancy() == coreConfig().robSize &&
+                core.pendingAccessCount() == 0 && l1d.rqOccupancy() == 0)
+                return;
+            step(1);
+        }
+        FAIL() << "the ROB never filled behind the load misses";
+    }
+
+    /** Fill the L1D miss for virtual line v_line from below. */
+    void
+    deliver(Addr v_line)
+    {
+        for (auto it = dMem.pending.begin(); it != dMem.pending.end();
+             ++it) {
+            if (it->second.vLine == v_line) {
+                MemRequest req = it->second;
+                dMem.pending.erase(it);
+                l1d.readDone(req);
+                return;
+            }
+        }
+        FAIL() << "no miss in flight for line " << v_line;
+    }
+
+    std::string
+    coreBytes() const
+    {
+        sim::ByteWriter w;
+        core.saveState(w, clients);
+        return w.take();
+    }
+
+    Cycle clock = 0;
+    ScriptedGen gen;
+    TranslationUnit tu;
+    test::TestMemory iMem{&clock, 5};
+    test::TestMemory dMem{&clock, kNever / 2};  // never answers by itself
+    Cache l1i;
+    Cache l1d;
+    Core core;
+    sim::PtrMap clients;
+};
+
+constexpr Addr kLineA = 0x20000000;
+constexpr Addr kLineB = 0x30000000;  // another page than A
+
+/** A two-load instruction (id 1, to lines A and B) and three ALU ops,
+ *  repeated. */
+std::vector<TraceInstr>
+twoLoadScript()
+{
+    TraceInstr two = loadAt(0x400000, kLineA);
+    two.load1 = kLineB;
+    return {two, alu(0x400004), alu(0x400008), alu(0x40000c)};
+}
+
+} // namespace
+
+TEST(CoreLoadCompletion, TwoLoadInstructionRetiresOnlyAfterBothComplete)
+{
+    HandCore h(twoLoadScript());
+    h.fillRobBehindMisses();
+    ASSERT_EQ(h.dMem.pending.size(), 2u);
+    ASSERT_EQ(h.core.robHeadId(), 1u);
+    ASSERT_FALSE(h.core.robHeadDone());
+
+    // The second load completes first: the instruction still waits.
+    h.deliver(lineAddr(kLineB));
+    h.step(20);
+    EXPECT_EQ(h.core.robHeadId(), 1u);
+    EXPECT_FALSE(h.core.robHeadDone());
+    EXPECT_EQ(h.core.stats.instructions, 0u);
+
+    // Then the first: it completes and retires, with the ALU ops behind
+    // it and the later two-load instructions that merged on both lines.
+    h.deliver(lineAddr(kLineA));
+    EXPECT_TRUE(h.core.robHeadDone());
+    h.step(20);
+    EXPECT_GT(h.core.stats.instructions, 4u);
+    EXPECT_NE(h.core.robHeadId(), 1u);
+}
+
+TEST(CoreLoadCompletion, CompletionOutsideTheRobChangesNothing)
+{
+    HandCore h(twoLoadScript());
+    auto expectIgnored = [&h](std::uint64_t id) {
+        std::string before = h.coreBytes();
+        MemRequest done;
+        done.type = AccessType::Load;
+        done.pLine = lineAddr(kLineA);
+        done.vLine = lineAddr(kLineA);
+        done.instrId = id;
+        h.core.readDone(done);
+        EXPECT_EQ(h.coreBytes(), before) << "instruction id " << id;
+    };
+
+    // A full ROB whose head waits on both misses: ids past its end are
+    // not dispatched yet.
+    h.fillRobBehindMisses();
+    ASSERT_FALSE(h.core.robHeadDone());
+    std::uint64_t next = h.core.robHeadId() + h.core.robOccupancy();
+    expectIgnored(next);
+    expectIgnored(next + 1000);
+
+    // After retirement, ids before the head are gone.
+    h.deliver(lineAddr(kLineA));
+    h.deliver(lineAddr(kLineB));
+    h.step(100);
+    ASSERT_GT(h.core.stats.instructions, 0u);
+    ASSERT_GT(h.core.robOccupancy(), 0u);
+    std::uint64_t head = h.core.robHeadId();
+    expectIgnored(1);
+    expectIgnored(head - 1);
+    expectIgnored(head + h.core.robOccupancy());
 }
 
 } // namespace berti

@@ -1,11 +1,13 @@
 /** @file Hardening-layer tests: SimError/Result semantics, env-driven
  *  audit configuration, always-on config validation, the invariant
- *  auditor (healthy runs pass, a leaked MSHR is caught), the
- *  forward-progress watchdog, fault-injector determinism, and Berti's
- *  counter self-consistency under injected latency variance. */
+ *  auditor (healthy runs pass; a leaked MSHR, a broken MSHR line index
+ *  and a gap in ROB ids are caught), the forward-progress watchdog,
+ *  fault-injector determinism, and Berti's counter self-consistency
+ *  under injected latency variance. */
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -277,6 +279,130 @@ TEST(AuditorTest, LeakedMshrIsAnInvariantViolation)
         EXPECT_EQ(e.component(), "l1d-under-test");
         EXPECT_NE(e.reason().find("MSHR"), std::string::npos);
     }
+}
+
+// Corruptions of the structures behind the O(1) lookups, made through
+// the auditor's own friend access to them.
+struct verify::SimAuditor::TestAccess
+{
+    static void
+    dropFromMshrIndex(Cache &cache, Addr p_line)
+    {
+        cache.mshrIndex.erase(p_line);
+    }
+
+    static void
+    addStaleMshrIndexEntry(Cache &cache, Addr p_line)
+    {
+        cache.mshrIndex.insert(p_line, 0);
+    }
+
+    static void
+    skipRobId(Core &core, std::size_t pos)
+    {
+        core.rob[pos].id += 1;
+    }
+};
+
+namespace
+{
+
+/** A cache with two misses in flight, and an auditor watching it. */
+struct InFlightCache
+{
+    InFlightCache()
+    {
+        cache.setLower(&mem);
+        for (Addr line : {Addr{0x40}, Addr{0x41}}) {
+            MemRequest req;
+            req.pLine = line;
+            req.vLine = line;
+            req.type = AccessType::Load;
+            req.client = &client;
+            cache.submitRead(req);
+        }
+        for (int i = 0; i < 8; ++i) {
+            ++clock;
+            cache.tick();  // memory is never ticked: both stay in flight
+        }
+        AuditConfig acfg;
+        acfg.enabled = true;
+        auditor = std::make_unique<SimAuditor>(acfg, &clock);
+        auditor->attach(&cache);
+    }
+
+    Cycle clock = 0;
+    Cache cache{[] {
+        CacheConfig cfg;
+        cfg.name = "index-under-test";
+        return cfg;
+    }(), &clock};
+    TestMemory mem{&clock, 40};
+    struct : ReadClient
+    {
+        void readDone(const MemRequest &) override {}
+    } client;
+    std::unique_ptr<SimAuditor> auditor;
+};
+
+void
+expectInvariant(const SimAuditor &auditor, const std::string &component,
+                const std::string &needle)
+{
+    try {
+        auditor.checkNow();
+        FAIL() << "the corruption must fail the audit";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Invariant);
+        EXPECT_EQ(e.component(), component);
+        EXPECT_NE(e.reason().find(needle), std::string::npos)
+            << e.reason();
+    }
+}
+
+} // namespace
+
+TEST(AuditorTest, MshrMissingFromTheLineIndexIsAViolation)
+{
+    InFlightCache f;
+    ASSERT_EQ(f.cache.mshrsInUse(), 2u);
+    f.auditor->checkNow();
+    SimAuditor::TestAccess::dropFromMshrIndex(f.cache, 0x41);
+    expectInvariant(*f.auditor, "index-under-test",
+                    "not found at its slot");
+}
+
+TEST(AuditorTest, StaleLineIndexEntryIsAViolation)
+{
+    InFlightCache f;
+    f.auditor->checkNow();
+    SimAuditor::TestAccess::addStaleMshrIndexEntry(f.cache, 0x99);
+    expectInvariant(*f.auditor, "index-under-test", "MSHR line index");
+}
+
+TEST(AuditorTest, RobIdGapIsAViolation)
+{
+    // Loads to a new page each keep misses in flight, so the ROB holds
+    // a run of entries; a gap in their ids would send Core::readDone's offset
+    // lookup to the wrong entry.
+    std::vector<TraceInstr> chase;
+    for (int i = 0; i < 64; ++i) {
+        TraceInstr in;
+        in.ip = 0x400000 + 4 * i;
+        in.load0 = 0x20000000ull + 4096 * i;
+        chase.push_back(in);
+    }
+    ScriptedGen gen(chase);
+    MachineConfig cfg = MachineConfig::sunnyCove(1);
+    cfg.audit.enabled = true;
+    Machine m(cfg, {&gen});
+    m.run(200);
+    Core &core = m.core(0);
+    ASSERT_GT(core.robOccupancy(), 3u);
+    m.auditor()->checkNow();
+
+    SimAuditor::TestAccess::skipRobId(core, 2);
+    expectInvariant(*m.auditor(), "core0", "ROB ids not consecutive");
 }
 
 // ------------------------------------------------------------ watchdog
