@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 #include "obs/metrics.hh"
 
 namespace berti
@@ -19,7 +21,6 @@ Core::Core(const CoreConfig &config, const Cycle *clock_ptr,
     rob.reserve(cfg.robSize);
     fetchBuffer.reserve(cfg.fetchBufferSize);
     pendingAccesses.reserve(2 * static_cast<std::size_t>(cfg.robSize));
-    outstandingLoads.reserve(cfg.robSize);
 }
 
 void
@@ -30,6 +31,7 @@ Core::tick()
     issueMemory();
     dispatch();
     fetch();
+    wakeAt = nextEventCycle();
 }
 
 void
@@ -54,7 +56,7 @@ Core::dispatch()
 
         // Address dependence: a pointer-chasing load cannot compute its
         // address until the producing load completes.
-        if (fi.depLoadId && outstandingLoads.count(fi.depLoadId))
+        if (fi.depLoadId && loadOutstanding(fi.depLoadId))
             return;
 
         RobEntry entry;
@@ -73,15 +75,13 @@ Core::dispatch()
                 req.coreId = coreId;
                 req.instrId = fi.id;
                 req.client = this;
-                pendingAccesses.push_back({req, *clock + tr.latency,
-                                           false});
+                queueAccess(req, tr.latency, false);
                 ++entry.pendingLoads;
             };
             queueLoad(in.load0);
             if (in.load1 != kNoAddr)
                 queueLoad(in.load1);
             entry.done = false;
-            outstandingLoads.insert(fi.id);
         }
         if (in.isStore()) {
             ++stats.stores;
@@ -93,7 +93,7 @@ Core::dispatch()
             req.type = AccessType::Rfo;
             req.coreId = coreId;
             req.client = nullptr;  // stores complete post-retirement
-            pendingAccesses.push_back({req, *clock + tr.latency, true});
+            queueAccess(req, tr.latency, true);
         }
 
         rob.push_back(entry);
@@ -102,15 +102,32 @@ Core::dispatch()
 }
 
 void
+Core::queueAccess(const MemRequest &req, Cycle latency, bool is_store)
+{
+    Cycle ready = *clock + latency;
+    pendingAccesses.push_back({req, ready, is_store});
+    issueAt = std::min(issueAt, std::max(ready, *clock + 1));
+}
+
+void
 Core::issueMemory()
 {
+    // Besides issuing, record when the issue stage next has work:
+    // the earliest access still translating, or the next cycle when a
+    // ready access was left for lack of a port.
+    issueAt = kNever;
+    l1dRefused = false;
     unsigned loads = 0;
     unsigned stores = 0;
     for (std::size_t i = 0; i < pendingAccesses.size();) {
-        if (loads >= cfg.maxLoadsPerCycle && stores >= cfg.maxStoresPerCycle)
+        if (loads >= cfg.maxLoadsPerCycle &&
+            stores >= cfg.maxStoresPerCycle) {
+            issueAt = *clock + 1;
             break;
+        }
         PendingAccess &a = pendingAccesses[i];
         if (a.readyCycle > *clock) {
+            issueAt = std::min(issueAt, a.readyCycle);
             ++i;
             continue;
         }
@@ -118,11 +135,15 @@ Core::issueMemory()
         unsigned limit =
             a.isStore ? cfg.maxStoresPerCycle : cfg.maxLoadsPerCycle;
         if (count >= limit) {
+            issueAt = *clock + 1;
             ++i;
             continue;
         }
-        if (!l1d->submitRead(a.req))
-            break;  // L1D read queue full: try again next cycle
+        if (!l1d->submitRead(a.req)) {
+            // L1D read queue full: try again once it has room.
+            l1dRefused = true;
+            break;
+        }
         ++count;
         pendingAccesses.erase(i);
     }
@@ -196,23 +217,22 @@ Core::fetch()
 Cycle
 Core::nextEventCycle() const
 {
-    Cycle next = kNever;
-
     // Retirement: the head completing is an external event (readDone);
     // an already-done head retires next tick.
     if (robHeadDone())
         return *clock + 1;
 
-    // Memory issue: any translated access that is (or becomes) ready.
-    for (const PendingAccess &a : pendingAccesses)
-        next = std::min(next, std::max(a.readyCycle, *clock + 1));
+    // Memory issue, from the last tick's scans. While the L1D refuses,
+    // nothing can issue until its own tick makes room, which the L1D's
+    // bound covers and awake() catches.
+    Cycle next = l1dRefused ? kNever : issueAt;
 
     // Dispatch: possible next tick unless the ROB is full (unblocked by
     // retirement, handled above) or the head waits on an outstanding
     // load (unblocked by readDone, an external event).
     if (!fetchBuffer.empty() && !robFull()) {
         const FetchedInstr &fi = fetchBuffer.front();
-        if (!(fi.depLoadId && outstandingLoads.count(fi.depLoadId)))
+        if (!(fi.depLoadId && loadOutstanding(fi.depLoadId)))
             next = std::min(next, *clock + 1);
     }
 
@@ -229,6 +249,7 @@ Core::nextEventCycle() const
 void
 Core::readDone(const MemRequest &req)
 {
+    wakeAt = *clock;
     if (req.type == AccessType::InstrFetch) {
         fetchLinePending = false;
         return;
@@ -246,10 +267,19 @@ Core::readDone(const MemRequest &req)
     RobEntry &e = rob[offset];
     if (e.pendingLoads > 0)
         --e.pendingLoads;
-    if (e.pendingLoads == 0) {
+    if (e.pendingLoads == 0)
         e.done = true;
-        outstandingLoads.erase(e.id);
+}
+
+std::size_t
+Core::outstandingLoadCount() const
+{
+    std::size_t n = 0;
+    for (const RobEntry &e : rob) {
+        if (!e.done)
+            ++n;
     }
+    return n;
 }
 
 void
@@ -321,10 +351,12 @@ Core::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
         w.u64(p.readyCycle);
         w.b(p.isStore);
     }
-    const std::vector<std::uint64_t> &loads = outstandingLoads.raw();
-    w.u32(static_cast<std::uint32_t>(loads.size()));
-    for (std::uint64_t id : loads)
-        w.u64(id);
+    // Outstanding loads, in ROB order.
+    w.u32(static_cast<std::uint32_t>(outstandingLoadCount()));
+    for (const RobEntry &e : rob) {
+        if (!e.done)
+            w.u64(e.id);
+    }
 
     w.u64(nextInstrId);
     w.u64(lastLoadId);
@@ -369,12 +401,23 @@ Core::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
         p.isStore = r.b();
         pendingAccesses.push_back(p);
     }
+    // The outstanding loads are read from the ROB, so the saved list
+    // must name exactly its not-done entries. Any order is accepted:
+    // the list is a set, and blobs written while it was kept in an
+    // unordered set store it in another order.
     std::uint32_t nLoads = r.u32();
     std::vector<std::uint64_t> loads;
-    loads.reserve(nLoads);
     for (std::uint32_t i = 0; i < nLoads; ++i)
         loads.push_back(r.u64());
-    outstandingLoads.assign(std::move(loads));
+    std::sort(loads.begin(), loads.end());
+    std::vector<std::uint64_t> expect;
+    for (const RobEntry &e : rob) {
+        if (!e.done)
+            expect.push_back(e.id);
+    }
+    if (loads != expect)
+        r.fail("outstanding-load list does not match the ROB's " +
+               std::to_string(expect.size()) + " incomplete entries");
 
     nextInstrId = r.u64();
     lastLoadId = r.u64();
@@ -382,6 +425,9 @@ Core::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     fetchLine = r.u64();
     fetchLinePending = r.b();
     r.expectTag(0xC03E00FFu, "core");
+    wakeAt = 0;
+    issueAt = 0;
+    l1dRefused = false;
 }
 
 } // namespace berti

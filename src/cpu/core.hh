@@ -42,7 +42,8 @@ struct CoreConfig
 
 /**
  * One core. The owner ticks it once per cycle after ticking the memory
- * hierarchy below it.
+ * hierarchy below it. It may leave out the ticks of cycles in which
+ * awake() is false.
  */
 class Core : public ReadClient
 {
@@ -59,11 +60,42 @@ class Core : public ReadClient
 
     /**
      * Earliest future cycle at which tick() would make progress, given
-     * no readDone arrives in between (kNever if the core is blocked
-     * purely on memory responses). Quiescence cycle-skip input; the
-     * bound must never be late.
+     * no readDone arrives in between and the L1D read queue stays as
+     * full as it is (kNever if the core is blocked purely on memory
+     * responses or on L1D room). O(1): the issue part comes from the
+     * last tick's own scans. Quiescence cycle-skip input; the bound
+     * must never be late.
      */
     Cycle nextEventCycle() const;
+
+    /**
+     * First cycle at which tick() may have work of its own:
+     * nextEventCycle() as of the last tick, lowered to the current
+     * cycle by every readDone. Derived state, never serialized.
+     */
+    Cycle wakeCycle() const { return wakeAt; }
+
+    /**
+     * True when the last tick stopped issuing because the L1D refused
+     * a request. Only this core fills its L1D read queue, so the queue
+     * stays full, and the issue stage stays blocked, until the L1D's
+     * own tick pops it.
+     */
+    bool waitsOnL1dSpace() const { return l1dRefused; }
+
+    /**
+     * Whether tick() may change anything this cycle: the wake cycle
+     * has come, or the core waits on L1D room and the L1D now has it.
+     * Exact once the L1D has ticked for this cycle; a tick while
+     * awake() is false only counts the cycle. See ARCHITECTURE.md,
+     * "Performance".
+     */
+    bool
+    awake() const
+    {
+        return wakeAt <= *clock ||
+               (l1dRefused && l1d->mayAcceptAnyRead());
+    }
 
     // ReadClient: load and instruction-fetch completions from the L1s.
     void readDone(const MemRequest &req) override;
@@ -92,10 +124,9 @@ class Core : public ReadClient
     {
         return pendingAccesses.size();
     }
-    std::size_t outstandingLoadCount() const
-    {
-        return outstandingLoads.size();
-    }
+    /** Loads dispatched and not yet complete (a ROB scan; diagnostics
+     *  only). */
+    std::size_t outstandingLoadCount() const;
 
     /**
      * Dynamic instructions pulled from the trace generator so far.
@@ -140,10 +171,27 @@ class Core : public ReadClient
 
     void retire();
     void dispatch();
+    /** Queue a translated access and fold its ready cycle into the
+     *  issue bound. */
+    void queueAccess(const MemRequest &req, Cycle latency, bool is_store);
     void issueMemory();
     void fetch();
 
     bool robFull() const { return rob.size() >= cfg.robSize; }
+
+    /**
+     * Whether load `id` has been dispatched and is not yet complete.
+     * ROB ids are consecutive, so that is: `id` is in the ROB and its
+     * entry is not done.
+     */
+    bool
+    loadOutstanding(std::uint64_t id) const
+    {
+        if (rob.empty())
+            return false;
+        std::uint64_t offset = id - rob.front().id;
+        return offset < rob.size() && !rob[offset].done;
+    }
 
     CoreConfig cfg;
     const Cycle *clock;
@@ -158,13 +206,19 @@ class Core : public ReadClient
     RingQueue<RobEntry> rob;
     RingQueue<FetchedInstr> fetchBuffer;
     RingQueue<PendingAccess> pendingAccesses;
-    IdSet outstandingLoads;
 
     std::uint64_t nextInstrId = 1;
     std::uint64_t lastLoadId = 0;      //!< program-order last load
     Cycle fetchStallUntil = 0;
     Addr fetchLine = kNoAddr;          //!< instruction line in flight/ready
     bool fetchLinePending = false;     //!< waiting on an L1I fill
+
+    // Tick gate (see wakeCycle()); derived state, never serialized.
+    Cycle wakeAt = 0;
+    /** Earliest cycle at which the issue stage has work, from the last
+     *  tick's scans (issueMemory, then dispatch's new accesses). */
+    Cycle issueAt = 0;
+    bool l1dRefused = false;           //!< see waitsOnL1dSpace()
 };
 
 } // namespace berti

@@ -239,7 +239,10 @@ Machine::tick()
     // tick would do nothing. Input that reaches a cache before its turn
     // in this cycle (a fill from below) wakes it for this cycle's tick;
     // input after its turn (a request from above) wakes it for the next
-    // one, exactly when an every-cycle tick would first see it.
+    // one, exactly when an every-cycle tick would first see it. A core
+    // is gated the same way, plus the L1D room it may wait on, which
+    // only the L1D's tick (just before) can make. The DRAM gates its
+    // own tick. A skipped core tick only counts the cycle.
     auto tickAwake = [this](Cache &c) {
         if (c.wakeCycle() <= clock)
             c.tick();
@@ -251,7 +254,11 @@ Machine::tick()
         tickAwake(*n->l2Cache);
         tickAwake(*n->l1dCache);
         tickAwake(*n->l1iCache);
-        n->cpu->tick();
+        Core &cpu = *n->cpu;
+        if (cpu.awake())
+            cpu.tick();
+        else
+            ++cpu.stats.cycles;
     }
     if (audit)
         audit->tick();

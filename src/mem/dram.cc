@@ -61,10 +61,21 @@ Dram::Dram(const DramConfig &config, const Cycle *clock_ptr)
     : cfg(config), clock(clock_ptr), banks(cfg.banks)
 {
     cfg.validate();
+    burst = cfg.burstCycles();
+    // The lookahead window lets commands issue while earlier data is
+    // still in the CAS pipeline: it covers a full precharge+activate+CAS
+    // plus a few bursts of bus backlog, so row hits stream at burst
+    // rate.
+    lookahead = cfg.tRp + cfg.tRcd + cfg.tCas + 4 * burst;
+    drainHigh =
+        static_cast<std::size_t>(cfg.writeDrainWatermark * cfg.wqSize);
+    linesPerRow = cfg.rowBytes / kLineSize;
+
     // Allocation-free steady state: queue rings at their configured
     // bounds (wq is soft-capacity, so headroom), and the completion
     // heap's backing vector pre-reserved past the read-queue bound.
     rq.reserve(cfg.rqSize);
+    rqKeys.reserve(cfg.rqSize);
     wq.reserve(2 * static_cast<std::size_t>(cfg.wqSize) + 8);
     std::vector<Completion> backing;
     backing.reserve(cfg.rqSize + 8);
@@ -72,18 +83,13 @@ Dram::Dram(const DramConfig &config, const Cycle *clock_ptr)
                                   std::move(backing));
 }
 
-Addr
-Dram::rowOf(Addr p_line) const
-{
-    return p_line / (cfg.rowBytes / kLineSize);
-}
-
-unsigned
-Dram::bankOf(Addr p_line) const
+Dram::RowKey
+Dram::keyOf(Addr p_line) const
 {
     // Row-interleaved banking: consecutive 4 KB rows land on different
     // banks so streams exploit bank-level parallelism.
-    return static_cast<unsigned>(rowOf(p_line) % cfg.banks);
+    Addr row = p_line / linesPerRow;
+    return {row, static_cast<unsigned>(row % cfg.banks)};
 }
 
 bool
@@ -93,6 +99,8 @@ Dram::submitRead(MemRequest req)
         return false;
     req.enqueueCycle = *clock;
     rq.push_back(req);
+    rqKeys.push_back(keyOf(req.pLine));
+    wakeAt = *clock;
     return true;
 }
 
@@ -102,13 +110,14 @@ Dram::submitWriteback(Addr p_line)
     // Soft capacity (see Cache::submitWriteback); drained with priority
     // once past the watermark.
     wq.push_back(p_line);
+    wakeAt = *clock;
 }
 
 Cycle
-Dram::accessBank(Addr p_line)
+Dram::accessBank(const RowKey &key)
 {
-    Bank &bank = banks[bankOf(p_line)];
-    Addr row = rowOf(p_line);
+    Bank &bank = banks[key.bank];
+    Addr row = key.row;
 
     Cycle start = std::max(*clock, bank.readyCycle);
     Cycle access;   //!< command-to-data latency
@@ -116,25 +125,25 @@ Dram::accessBank(Addr p_line)
     if (bank.openRow == row) {
         // Column accesses to an open row pipeline at burst rate.
         access = cfg.tCas;
-        occupy = cfg.burstCycles();
+        occupy = burst;
         ++stats.rowHits;
     } else if (bank.openRow == kNoAddr) {
         access = cfg.tRcd + cfg.tCas;
-        occupy = cfg.tRcd + cfg.burstCycles();
+        occupy = cfg.tRcd + burst;
         ++stats.rowMisses;
     } else {
         access = cfg.tRp + cfg.tRcd + cfg.tCas;
-        occupy = cfg.tRp + cfg.tRcd + cfg.burstCycles();
+        occupy = cfg.tRp + cfg.tRcd + burst;
         ++stats.rowConflicts;
     }
     bank.openRow = row;
 
     Cycle data_ready = start + access;
     Cycle bus_start = std::max(data_ready, busFreeCycle);
-    Cycle finish = bus_start + cfg.burstCycles();
+    Cycle finish = bus_start + burst;
     busFreeCycle = finish;
     bank.readyCycle = start + occupy;
-    stats.busBusyCycles += cfg.burstCycles();
+    stats.busBusyCycles += burst;
     return finish + cfg.linkLatency;
 }
 
@@ -143,9 +152,7 @@ Dram::scheduleOne()
 {
     // Hysteretic write drain: start at the high watermark, stop when
     // half-empty or a read arrives and pressure is off.
-    std::size_t high =
-        static_cast<std::size_t>(cfg.writeDrainWatermark * cfg.wqSize);
-    if (wq.size() >= high)
+    if (wq.size() >= drainHigh)
         drainingWrites = true;
     if (wq.empty() || (drainingWrites && wq.size() < cfg.wqSize / 2))
         drainingWrites = false;
@@ -158,15 +165,15 @@ Dram::scheduleOne()
         std::size_t pick = 0;
         if (cfg.sched == DramSchedKind::FrFcfs) {
             for (std::size_t i = 0; i < wq.size(); ++i) {
-                if (banks[bankOf(wq[i])].openRow == rowOf(wq[i])) {
+                if (rowOpen(keyOf(wq[i]))) {
                     pick = i;
                     break;
                 }
             }
         }
-        Addr p_line = wq[pick];
+        RowKey key = keyOf(wq[pick]);
         wq.erase(pick);
-        accessBank(p_line);
+        accessBank(key);
         ++stats.writes;
         return;
     }
@@ -181,9 +188,8 @@ Dram::scheduleOne()
     bool found_hit = false;
     if (cfg.sched == DramSchedKind::FrFcfs &&
         (cfg.starvationCap == 0 || headBypassed < cfg.starvationCap)) {
-        for (std::size_t i = 0; i < rq.size(); ++i) {
-            if (banks[bankOf(rq[i].pLine)].openRow ==
-                rowOf(rq[i].pLine)) {
+        for (std::size_t i = 0; i < rqKeys.size(); ++i) {
+            if (rowOpen(rqKeys[i])) {
                 pick = i;
                 found_hit = true;
                 break;
@@ -195,8 +201,9 @@ Dram::scheduleOne()
     headBypassed = pick == 0 ? 0 : headBypassed + 1;
 
     MemRequest req = rq[pick];
+    Cycle finish = accessBank(rqKeys[pick]);
     rq.erase(pick);
-    Cycle finish = accessBank(req.pLine);
+    rqKeys.erase(pick);
     ++stats.reads;
     if (faults) {
         // Injected faults: a latency spike delays the response; a lost
@@ -216,6 +223,8 @@ Dram::scheduleOne()
 void
 Dram::tick()
 {
+    if (wakeAt > *clock)
+        return;
     while (!inflight.empty() && inflight.top().finish <= *clock) {
         MemRequest req = inflight.top().req;
         inflight.pop();
@@ -224,14 +233,11 @@ Dram::tick()
     }
 
     // One scheduling decision per cycle; the bus/bank timing inside
-    // accessBank serialises actual service. The lookahead window lets
-    // commands issue while earlier data is still in the CAS pipeline —
-    // it covers a full precharge+activate+CAS plus a few bursts of bus
-    // backlog, so row hits stream at burst rate.
-    Cycle lookahead =
-        cfg.tRp + cfg.tRcd + cfg.tCas + 4 * cfg.burstCycles();
+    // accessBank serialises actual service, and the lookahead window
+    // lets commands issue ahead of the bus.
     if (busFreeCycle <= *clock + lookahead)
         scheduleOne();
+    wakeAt = nextEventCycle();
 }
 
 Cycle
@@ -246,8 +252,6 @@ Dram::nextEventCycle() const
     if (!rq.empty() || !wq.empty() || drainingWrites) {
         // The scheduler gate reopens once the bus backlog re-enters the
         // lookahead window.
-        Cycle lookahead =
-            cfg.tRp + cfg.tRcd + cfg.tCas + 4 * cfg.burstCycles();
         Cycle gate = busFreeCycle > lookahead ? busFreeCycle - lookahead
                                               : 0;
         next = std::min(next, std::max(gate, *clock + 1));
@@ -269,6 +273,19 @@ Dram::auditViolation() const
     }
     if (banks.size() != cfg.banks)
         return "bank array size mismatch";
+    // The FR-FCFS scan trusts the key ring in place of the lines.
+    if (rqKeys.size() != rq.size()) {
+        return "read-queue key ring holds " +
+               std::to_string(rqKeys.size()) + " keys for " +
+               std::to_string(rq.size()) + " queued reads";
+    }
+    for (std::size_t i = 0; i < rq.size(); ++i) {
+        if (rqKeys[i] != keyOf(rq[i].pLine)) {
+            return "read-queue key " + std::to_string(i) +
+                   " does not match line " + std::to_string(rq[i].pLine) +
+                   " (stale row/bank key)";
+        }
+    }
     return {};
 }
 
@@ -317,8 +334,11 @@ Dram::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     }
     std::uint32_t nRq = r.u32();
     rq.clear();
-    for (std::uint32_t i = 0; i < nRq; ++i)
+    rqKeys.clear();
+    for (std::uint32_t i = 0; i < nRq; ++i) {
         rq.push_back(loadRequest(r, clients));
+        rqKeys.push_back(keyOf(rq[i].pLine));
+    }
     std::uint32_t nWq = r.u32();
     wq.clear();
     for (std::uint32_t i = 0; i < nWq; ++i)
@@ -339,6 +359,7 @@ Dram::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
         inflight.push(c);
     }
     r.expectTag(0xD7A300FFu, "dram");
+    wakeAt = 0;
 }
 
 void

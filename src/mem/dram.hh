@@ -21,6 +21,7 @@
 #include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "verify/auditor.hh"
 
 namespace berti
 {
@@ -108,6 +109,11 @@ class Dram : public mem::MemBackend
     bool mayAcceptRead(Addr) const override { return rq.size() < cfg.rqSize; }
     bool mayAcceptAnyRead() const override { return rq.size() < cfg.rqSize; }
 
+    /**
+     * Deliver due completions, then make at most one scheduling
+     * decision. Returns at once before wakeCycle(): the channel gates
+     * its own tick, so every owner and wrapper gets the gate.
+     */
     void tick() override;
 
     /**
@@ -117,6 +123,13 @@ class Dram : public mem::MemBackend
      * is reached late.
      */
     Cycle nextEventCycle() const override;
+
+    /**
+     * First cycle at which tick() may have work: nextEventCycle() as of
+     * the last working tick, lowered to the current cycle by
+     * submitRead and submitWriteback. Derived state, never serialized.
+     */
+    Cycle wakeCycle() const { return wakeAt; }
 
     bool readQueueEmpty() const { return rq.empty(); }
     std::size_t pendingReads() const override
@@ -161,6 +174,10 @@ class Dram : public mem::MemBackend
                    const sim::PtrMap &clients) override;
 
   private:
+    /** Lets the auditor's tests corrupt the key ring; the auditor
+     *  itself reads only auditViolation(). */
+    friend struct verify::SimAuditor::TestAccess;
+
     struct Bank
     {
         Addr openRow = kNoAddr;
@@ -185,19 +202,39 @@ class Dram : public mem::MemBackend
         }
     };
 
-    Addr rowOf(Addr p_line) const;
-    unsigned bankOf(Addr p_line) const;
+    /** Where a line lives: its row and the bank that row maps to. */
+    struct RowKey
+    {
+        Addr row;
+        unsigned bank;
+
+        bool operator==(const RowKey &) const = default;
+    };
+
+    RowKey keyOf(Addr p_line) const;
+    bool rowOpen(const RowKey &key) const
+    {
+        return banks[key.bank].openRow == key.row;
+    }
 
     /** Access latency at the bank (row hit/empty/conflict accounting). */
-    Cycle accessBank(Addr p_line);
+    Cycle accessBank(const RowKey &key);
 
     void scheduleOne();
 
     DramConfig cfg;
     const Cycle *clock;
+    // Timing derived from cfg once, at construction.
+    Cycle burst = 0;              //!< cfg.burstCycles()
+    Cycle lookahead = 0;          //!< scheduler window past the bus
+    std::size_t drainHigh = 0;    //!< write-drain start occupancy
+    Addr linesPerRow = 0;
     verify::FaultInjector *faults = nullptr;
     std::vector<Bank> banks;
     RingQueue<MemRequest> rq;
+    /** keyOf(rq[i].pLine) at index i, so the FR-FCFS scan divides
+     *  nothing; rebuilt on load. */
+    RingQueue<RowKey> rqKeys;
     RingQueue<Addr> wq;
     bool drainingWrites = false;
     Cycle busFreeCycle = 0;
@@ -208,6 +245,8 @@ class Dram : public mem::MemBackend
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
         inflight;
+    // Tick gate (see wakeCycle()); derived state, never serialized.
+    Cycle wakeAt = 0;
 };
 
 } // namespace berti

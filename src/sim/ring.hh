@@ -1,6 +1,6 @@
 /**
  * @file
- * Allocation-free containers for the simulator hot path.
+ * An allocation-free FIFO for the simulator hot path.
  *
  * RingQueue is a circular FIFO over a power-of-two vector: push_back /
  * pop_front never allocate once the ring has reached its steady-state
@@ -8,20 +8,14 @@
  * rqSize). It replaces the std::deque queues that used to churn one
  * chunk allocation every few requests. Growth relinearises into a
  * larger buffer, so FIFO order is always preserved bit-identically.
- *
- * IdSet is a small unordered id membership set backed by a flat vector
- * (linear scan, swap-remove): it replaces the per-insert node
- * allocations of std::unordered_set for the core's outstanding-load
- * tracking, where the population is bounded by the ROB size.
  */
 
 #ifndef BERTI_SIM_RING_HH
 #define BERTI_SIM_RING_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <iterator>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 namespace berti
@@ -73,14 +67,22 @@ class RingQueue
     }
 
     /**
-     * Remove the i-th element, preserving the order of the rest
-     * (shifts the tail forward by one). Used by the DRAM FR-FCFS pick.
+     * Remove the i-th element, preserving the order of the rest. The
+     * shorter side moves by one slot: the elements before i shift back
+     * and the head advances, or the elements after i shift forward.
+     * Used by the core's out-of-order issue and the DRAM FR-FCFS pick.
      */
     void
     erase(std::size_t i)
     {
-        for (std::size_t k = i; k + 1 < count; ++k)
-            (*this)[k] = (*this)[k + 1];
+        if (i < count / 2) {
+            for (std::size_t k = i; k > 0; --k)
+                (*this)[k] = (*this)[k - 1];
+            head = wrap(head + 1);
+        } else {
+            for (std::size_t k = i; k + 1 < count; ++k)
+                (*this)[k] = (*this)[k + 1];
+        }
         --count;
     }
 
@@ -148,52 +150,6 @@ class RingQueue
     std::vector<T> buf;       //!< power-of-two capacity (or empty)
     std::size_t head = 0;
     std::size_t count = 0;
-};
-
-/** Flat unordered id set with allocation-free steady-state churn. */
-class IdSet
-{
-  public:
-    void reserve(std::size_t n) { ids.reserve(n); }
-
-    void insert(std::uint64_t id) { ids.push_back(id); }
-
-    void
-    erase(std::uint64_t id)
-    {
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            if (ids[i] == id) {
-                ids[i] = ids.back();
-                ids.pop_back();
-                return;
-            }
-        }
-    }
-
-    std::size_t
-    count(std::uint64_t id) const
-    {
-        for (std::uint64_t v : ids) {
-            if (v == id)
-                return 1;
-        }
-        return 0;
-    }
-
-    std::size_t size() const { return ids.size(); }
-    bool empty() const { return ids.empty(); }
-
-    /**
-     * Raw backing vector, exposed for checkpoint serialization.
-     * Membership is order-independent, but the checkpoint layer
-     * preserves the order anyway so a restored machine re-serializes
-     * to a byte-identical blob.
-     */
-    const std::vector<std::uint64_t> &raw() const { return ids; }
-    void assign(std::vector<std::uint64_t> v) { ids = std::move(v); }
-
-  private:
-    std::vector<std::uint64_t> ids;
 };
 
 } // namespace berti

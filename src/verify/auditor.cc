@@ -234,9 +234,10 @@ SimAuditor::checkCore(const Core &core) const
                        std::to_string(core.cfg.fetchBufferSize));
 
     // Core::readDone finds an entry at its id's offset from the head,
-    // which holds only while ROB ids are consecutive.
+    // and dependent dispatch reads a load's completion from its entry,
+    // which holds only while ROB ids are consecutive and an entry is
+    // done exactly when none of its loads is pending.
     std::uint64_t want_id = core.rob.empty() ? 0 : core.rob.front().id;
-    std::uint64_t pending_entries = 0;
     for (const auto &e : core.rob) {
         if (e.id == 0 || e.id != want_id)
             fail(name, "ROB ids not consecutive: entry " +
@@ -246,20 +247,19 @@ SimAuditor::checkCore(const Core &core) const
         if (!e.done && e.pendingLoads == 0)
             fail(name, "ROB entry " + std::to_string(e.id) +
                            " incomplete with no pending loads");
-        if (e.pendingLoads > 0) {
-            ++pending_entries;
-            if (!core.outstandingLoads.count(e.id))
-                fail(name, "ROB entry " + std::to_string(e.id) +
-                               " has pending loads but is missing from "
-                               "the outstanding-load set");
-        }
+        if (e.done && e.pendingLoads > 0)
+            fail(name, "ROB entry " + std::to_string(e.id) +
+                           " done with " +
+                           std::to_string(e.pendingLoads) +
+                           " pending loads");
     }
-    if (core.outstandingLoads.size() != pending_entries)
-        fail(name, "outstanding-load set holds " +
-                       std::to_string(core.outstandingLoads.size()) +
-                       " ids but the ROB has " +
-                       std::to_string(pending_entries) +
-                       " load-pending entries (leaked id)");
+
+    // Tick gate: a done head retires on the next tick, so the core
+    // must not sleep past it.
+    if (core.robHeadDone() && core.wakeCycle() > *clock + 1)
+        fail(name, "ROB head done but the core sleeps until cycle " +
+                       std::to_string(core.wakeCycle()) +
+                       " (retirement would be skipped)");
 }
 
 void

@@ -15,8 +15,11 @@
  *     valid line maps to the set it sits in;
  *   - the cache-stats algebra holds (accesses = hits + misses + merges);
  *   - ROB / fetch-buffer occupancies respect the core configuration, ROB
- *     ids are consecutive, and the outstanding-load set matches the
- *     ROB's pending entries;
+ *     ids are consecutive, an entry is done exactly when it has no
+ *     pending loads, and a core whose ROB head is done is awake by the
+ *     next cycle;
+ *   - each memory backend's own invariants (auditViolation()), such as
+ *     the DRAM read-queue row/bank keys matching their lines;
  *   - TLB sets hold no duplicate pages, every cached page sits in its
  *     home set, and each cached translation agrees with the page table.
  *

@@ -201,20 +201,24 @@ namespace
 {
 
 /**
- * One core wired by hand to an L1I and an L1D. The L1D's memory holds
- * every load miss until the test delivers it, so the order in which
- * loads complete is the test's choice.
+ * One core wired by hand to an L1I and an L1D. By default the L1D's
+ * memory holds every load miss until the test delivers it, so the
+ * order in which loads complete is the test's choice.
  */
 struct HandCore
 {
-    explicit HandCore(std::vector<TraceInstr> script)
+    explicit HandCore(std::vector<TraceInstr> script,
+                      unsigned l1d_rq_size = CacheConfig{}.rqSize,
+                      Cycle d_latency = kNever / 2)
         : gen(std::move(script)), tu(TranslationUnit::Config{}),
-          l1i(cacheConfig("l1i"), &clock), l1d(cacheConfig("l1d"), &clock),
+          dMem(&clock, d_latency), l1i(cacheConfig("l1i"), &clock),
+          l1d(l1dConfig(l1d_rq_size), &clock),
           core(coreConfig(), &clock, 0, &gen, &l1i, &l1d, &tu)
     {
         l1i.setLower(&iMem);
         l1d.setLower(&dMem);
         clients.add(static_cast<ReadClient *>(&core));
+        clients.add(static_cast<ReadClient *>(&l1d));
     }
 
     /** A power-of-two ROB fills its ring exactly, so an offset one past
@@ -232,6 +236,14 @@ struct HandCore
     {
         CacheConfig cfg;
         cfg.name = name;
+        return cfg;
+    }
+
+    static CacheConfig
+    l1dConfig(unsigned rq_size)
+    {
+        CacheConfig cfg = cacheConfig("l1d");
+        cfg.rqSize = rq_size;
         return cfg;
     }
 
@@ -289,11 +301,19 @@ struct HandCore
         return w.take();
     }
 
+    std::string
+    l1dBytes() const
+    {
+        sim::ByteWriter w;
+        l1d.saveState(w, clients);
+        return w.take();
+    }
+
     Cycle clock = 0;
     ScriptedGen gen;
     TranslationUnit tu;
     test::TestMemory iMem{&clock, 5};
-    test::TestMemory dMem{&clock, kNever / 2};  // never answers by itself
+    test::TestMemory dMem;
     Cache l1i;
     Cache l1d;
     Core core;
@@ -371,6 +391,125 @@ TEST(CoreLoadCompletion, CompletionOutsideTheRobChangesNothing)
     expectIgnored(1);
     expectIgnored(head - 1);
     expectIgnored(head + h.core.robOccupancy());
+}
+
+// ------------------------------------------------------ core tick gate
+
+namespace
+{
+
+/**
+ * Stores, two-load instructions, dependent loads and ALU ops over more
+ * lines than the L1D holds, spread across pages so some translations
+ * miss the dTLB.
+ */
+std::vector<TraceInstr>
+gateScript()
+{
+    std::vector<TraceInstr> script;
+    Addr next = 0x20000000;
+    auto line = [&next] {
+        Addr a = next;
+        next += 3 * kLineSize + 4096;  // a new page every access
+        if (next > 0x20000000 + (1u << 21))
+            next -= 1u << 21;
+        return a;
+    };
+    for (unsigned i = 0; i < 600; ++i) {
+        Addr ip = 0x400000 + 4 * (i % 64);
+        switch (i % 6) {
+        case 0: {
+            TraceInstr two = loadAt(ip, line());
+            two.load1 = line();
+            script.push_back(two);
+            break;
+        }
+        case 1: {
+            TraceInstr st = alu(ip);
+            st.store = line();
+            script.push_back(st);
+            break;
+        }
+        case 2:
+            script.push_back(loadAt(ip, line(), true));
+            break;
+        case 3:
+            script.push_back(alu(ip));
+            break;
+        default:
+            script.push_back(loadAt(ip, line()));
+            break;
+        }
+    }
+    return script;
+}
+
+} // namespace
+
+TEST(CoreTickGate, TickingOnlyWhenAwakeMatchesTickingEveryCycle)
+{
+    // Twin cores with a two-entry L1D read queue, so refused submits
+    // are common. Both see the same memory events in Machine::tick's
+    // order; one core ticks every cycle, the other only while awake().
+    // Their whole state, and their L1D's, must agree after every cycle.
+    HandCore every(gateScript(), 2, 40);
+    HandCore gated(gateScript(), 2, 40);
+    const unsigned cycles = 30000;
+    unsigned skipped = 0;
+    unsigned refused = 0;
+    for (unsigned c = 0; c < cycles; ++c) {
+        for (HandCore *h : {&every, &gated}) {
+            ++h->clock;
+            h->iMem.tick();
+            h->dMem.tick();
+            h->l1d.tick();
+            h->l1i.tick();
+        }
+        every.core.tick();
+        if (gated.core.awake()) {
+            gated.core.tick();
+        } else {
+            ++gated.core.stats.cycles;
+            ++skipped;
+        }
+        refused += gated.core.waitsOnL1dSpace() ? 1 : 0;
+        ASSERT_EQ(every.coreBytes(), gated.coreBytes())
+            << "cycle " << every.clock;
+        ASSERT_EQ(every.l1dBytes(), gated.l1dBytes())
+            << "cycle " << every.clock;
+    }
+    EXPECT_GT(every.core.stats.instructions, 1000u);
+    EXPECT_GT(every.core.stats.stores, 100u);
+    EXPECT_GT(refused, 100u);
+    // The gate must actually have skipped a good share of cycles.
+    EXPECT_GT(skipped, cycles / 4);
+}
+
+TEST(CoreTickGate, ReadDoneWakesASleepingCore)
+{
+    HandCore h(twoLoadScript());
+    h.fillRobBehindMisses();
+    h.step(10);
+    // Blocked purely on the two misses: nothing of its own to do.
+    ASSERT_EQ(h.core.wakeCycle(), kNever);
+    ASSERT_FALSE(h.core.awake());
+    EXPECT_EQ(h.core.nextEventCycle(), kNever);
+
+    // Any completion wakes it for this cycle, even one that leaves the
+    // head waiting; the tick then finds nothing and it sleeps again.
+    h.deliver(lineAddr(kLineB));
+    EXPECT_EQ(h.core.wakeCycle(), h.clock);
+    EXPECT_TRUE(h.core.awake());
+    h.step(1);
+    EXPECT_EQ(h.core.wakeCycle(), kNever);
+
+    // The completion that finishes the head makes it retire next tick.
+    h.deliver(lineAddr(kLineA));
+    EXPECT_TRUE(h.core.awake());
+    EXPECT_TRUE(h.core.robHeadDone());
+    h.step(1);
+    EXPECT_GT(h.core.stats.instructions, 0u);
+    EXPECT_EQ(h.core.wakeCycle(), h.clock + 1);
 }
 
 } // namespace berti

@@ -1,9 +1,10 @@
 /** @file DRAM controller tests: row-buffer timing, FR-FCFS, write drain,
- *  bandwidth configuration. */
+ *  bandwidth configuration, the self-gated tick and checkpoint resume. */
 
 #include <gtest/gtest.h>
 
 #include "mem/dram.hh"
+#include "sim/serialize.hh"
 
 namespace berti
 {
@@ -229,6 +230,118 @@ TEST(DramBandwidth, LowerMtpsIsSlowerUnderLoad)
         return clock;
     };
     EXPECT_GT(drain(1600), drain(6400));
+}
+
+// ------------------------------------------------------ tick gate
+
+namespace
+{
+
+std::string
+dramBytes(const Dram &dram, Sink &sink)
+{
+    sim::PtrMap clients;
+    clients.add(static_cast<ReadClient *>(&sink));
+    sim::ByteWriter w;
+    dram.saveState(w, clients);
+    return w.take();
+}
+
+} // namespace
+
+TEST_F(DramFixture, DrainedTickIsANoOpAndSubmitsWakeIt)
+{
+    Dram dram(cfg, &clock);
+    EXPECT_EQ(dram.wakeCycle(), 0u);  // awake until its first tick
+    runOne(dram, 0);
+    auto drain = [&] {
+        for (int i = 0; i < 1000 && dram.wakeCycle() != kNever; ++i) {
+            ++clock;
+            dram.tick();
+        }
+        ASSERT_EQ(dram.wakeCycle(), kNever);
+        ASSERT_EQ(dram.nextEventCycle(), kNever);
+    };
+    drain();
+
+    std::string idle = dramBytes(dram, sink);
+    for (int i = 0; i < 500; ++i) {
+        ++clock;
+        dram.tick();
+    }
+    EXPECT_EQ(dramBytes(dram, sink), idle);
+
+    ASSERT_TRUE(dram.submitRead(read(1, &sink)));
+    EXPECT_EQ(dram.wakeCycle(), clock);
+    ++clock;
+    dram.tick();
+    EXPECT_EQ(dram.stats.reads, 2u);  // scheduled on the next tick
+    drain();
+    EXPECT_EQ(sink.done.size(), 2u);
+
+    dram.submitWriteback(7);
+    EXPECT_EQ(dram.wakeCycle(), clock);
+    drain();
+    EXPECT_EQ(dram.stats.writes, 1u);
+}
+
+TEST_F(DramFixture, ResumeRebuildsTheRowKeys)
+{
+    // Row 0 is open; a row hit sits behind many reads to other rows.
+    // A checkpoint taken before the scheduler sees them must resume to
+    // the same picks (the deep hit first), completions and stats.
+    auto setUp = [&](Dram &dram, Sink &s, Cycle &clk) {
+        s.clock = &clk;
+        dram.submitRead(read(0, &s));
+        while (s.done.empty()) {
+            ++clk;
+            dram.tick();
+        }
+        for (Addr row = 1; row <= 24; ++row)
+            dram.submitRead(read(row * kLinesPerRow + row % 4, &s));
+        dram.submitRead(read(3, &s));  // open-row hit, 25 deep
+        dram.submitWriteback(40 * kLinesPerRow);
+    };
+    auto finish = [](Dram &dram, Sink &s, Cycle &clk) {
+        for (int i = 0; i < 20000 && s.done.size() < 26; ++i) {
+            ++clk;
+            dram.tick();
+        }
+        for (int i = 0; i < 2000; ++i) {
+            ++clk;
+            dram.tick();
+        }
+    };
+
+    Cycle clk_a = 0;
+    Sink sink_a;
+    Dram uninterrupted(cfg, &clk_a);
+    setUp(uninterrupted, sink_a, clk_a);
+
+    Cycle clk_b = 0;
+    Sink sink_b;
+    std::string blob;
+    {
+        Dram before(cfg, &clk_b);
+        setUp(before, sink_b, clk_b);
+        blob = dramBytes(before, sink_b);
+    }
+    Dram resumed(cfg, &clk_b);
+    sim::PtrMap clients;
+    clients.add(static_cast<ReadClient *>(&sink_b));
+    sim::ByteReader r(blob, "dram-test");
+    resumed.loadState(r, clients);
+    EXPECT_EQ(dramBytes(resumed, sink_b), blob);
+
+    finish(uninterrupted, sink_a, clk_a);
+    finish(resumed, sink_b, clk_b);
+    ASSERT_EQ(sink_a.done.size(), 26u);
+    EXPECT_EQ(sink_a.done[1].second, 3u);  // the deep hit went first
+    EXPECT_EQ(sink_b.done, sink_a.done);
+    EXPECT_EQ(dramBytes(resumed, sink_b),
+              dramBytes(uninterrupted, sink_a));
+    EXPECT_EQ(resumed.stats.rowHits, uninterrupted.stats.rowHits);
+    EXPECT_EQ(resumed.stats.writes, 1u);
 }
 
 } // namespace berti

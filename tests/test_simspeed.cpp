@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulator-speed overhaul tests: the hot-path containers (RingQueue /
- * IdSet), the MSHR arena (no live-entry recycling, audited), the
+ * Simulator-speed overhaul tests: the hot-path RingQueue (order kept
+ * across wraps, growth and erases), the MSHR arena (no live-entry recycling, audited), the
  * quiescence cycle-skip's bit-identical-results invariant (golden
  * matrix cells, adversarial micro-traces, a multi-core mix), and the
  * allocation-free steady-state demand path.
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "oracle/microtrace.hh"
 #include "sim/options.hh"
 #include "sim/ring.hh"
+#include "sim/rng.hh"
 #include "trace/instr.hh"
 #include "trace/registry.hh"
 
@@ -184,18 +186,38 @@ TEST(RingQueue, IndexingIsFrontRelative)
     EXPECT_EQ(q[1], 12);
 }
 
-TEST(IdSet, InsertEraseCount)
+TEST(RingQueue, EraseChurnAcrossTheWrapMatchesADeque)
 {
-    IdSet s;
-    s.insert(7);
-    s.insert(9);
-    s.insert(7);  // membership multiset-by-use: callers never double-add
-    EXPECT_EQ(s.count(7), 1u);
-    EXPECT_EQ(s.count(8), 0u);
-    s.erase(7);
-    s.erase(9);
-    s.erase(42);  // erasing a missing id is a no-op
-    EXPECT_EQ(s.count(9), 0u);
+    // Random pushes, pops and erases from both halves, on a ring small
+    // enough that the live span keeps wrapping its physical end.
+    RingQueue<int> q(16);
+    std::deque<int> ref;
+    Rng rng(11);
+    int next = 0;
+    unsigned front_half = 0;
+    unsigned back_half = 0;
+    for (int step = 0; step < 20000; ++step) {
+        unsigned op = static_cast<unsigned>(rng.nextBounded(4));
+        if (op < 2 && ref.size() < 16) {
+            q.push_back(next);
+            ref.push_back(next);
+            ++next;
+        } else if (op == 2 && !ref.empty()) {
+            q.pop_front();
+            ref.pop_front();
+        } else if (!ref.empty()) {
+            std::size_t i = rng.nextBounded(ref.size());
+            ++(i < ref.size() / 2 ? front_half : back_half);
+            q.erase(i);
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+        for (std::size_t k = 0; k < ref.size(); ++k)
+            ASSERT_EQ(q[k], ref[k]) << "step " << step << " index " << k;
+    }
+    EXPECT_EQ(q.capacity(), 16u);  // erase never grows the ring
+    EXPECT_GT(front_half, 1000u);
+    EXPECT_GT(back_half, 1000u);
 }
 
 // ============================================================== SimOptions

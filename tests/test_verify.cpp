@@ -1,8 +1,9 @@
 /** @file Hardening-layer tests: SimError/Result semantics, env-driven
  *  audit configuration, always-on config validation, the invariant
- *  auditor (healthy runs pass; a leaked MSHR, a broken MSHR line index
- *  and a gap in ROB ids are caught), the forward-progress watchdog,
- *  fault-injector determinism, and Berti's counter self-consistency
+ *  auditor (healthy runs pass; a leaked MSHR, a broken MSHR line index,
+ *  a gap in ROB ids, a done entry with loads in flight, a core asleep
+ *  past a done head and a stale DRAM row key are caught), the
+ *  forward-progress watchdog, fault-injector determinism, and Berti's counter self-consistency
  *  under injected latency variance. */
 
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
 #include "mem/cache.hh"
+#include "mem/dram.hh"
 #include "trace/generators.hh"
 #include "verify/auditor.hh"
 #include "verify/fault_injector.hh"
@@ -302,6 +304,25 @@ struct verify::SimAuditor::TestAccess
     {
         core.rob[pos].id += 1;
     }
+
+    static void
+    markDoneWithPendingLoad(Core &core, std::size_t pos)
+    {
+        core.rob[pos].done = true;
+        core.rob[pos].pendingLoads = 1;
+    }
+
+    static void
+    sleepUntil(Core &core, Cycle wake)
+    {
+        core.wakeAt = wake;
+    }
+
+    static void
+    staleDramKey(Dram &dram, std::size_t pos)
+    {
+        dram.rqKeys[pos].row += 1;
+    }
 };
 
 namespace
@@ -380,11 +401,14 @@ TEST(AuditorTest, StaleLineIndexEntryIsAViolation)
     expectInvariant(*f.auditor, "index-under-test", "MSHR line index");
 }
 
-TEST(AuditorTest, RobIdGapIsAViolation)
+namespace
 {
-    // Loads to a new page each keep misses in flight, so the ROB holds
-    // a run of entries; a gap in their ids would send Core::readDone's offset
-    // lookup to the wrong entry.
+
+/** Loads to a new page each: misses stay in flight, so the ROB holds a
+ *  run of waiting entries. */
+std::vector<TraceInstr>
+pageChase()
+{
     std::vector<TraceInstr> chase;
     for (int i = 0; i < 64; ++i) {
         TraceInstr in;
@@ -392,17 +416,88 @@ TEST(AuditorTest, RobIdGapIsAViolation)
         in.load0 = 0x20000000ull + 4096 * i;
         chase.push_back(in);
     }
-    ScriptedGen gen(chase);
-    MachineConfig cfg = MachineConfig::sunnyCove(1);
-    cfg.audit.enabled = true;
-    Machine m(cfg, {&gen});
-    m.run(200);
-    Core &core = m.core(0);
+    return chase;
+}
+
+/** An audited one-core machine after a short run of `script`. */
+struct AuditedCore
+{
+    explicit AuditedCore(std::vector<TraceInstr> script)
+        : gen(std::move(script)),
+          m([] {
+              MachineConfig cfg = MachineConfig::sunnyCove(1);
+              cfg.audit.enabled = true;
+              return cfg;
+          }(), {&gen})
+    {
+        m.run(200);
+        m.auditor()->checkNow();
+    }
+
+    ScriptedGen gen;
+    Machine m;
+};
+
+} // namespace
+
+TEST(AuditorTest, RobIdGapIsAViolation)
+{
+    // A gap in the ROB's ids would send Core::readDone's offset lookup
+    // to the wrong entry.
+    AuditedCore f(pageChase());
+    Core &core = f.m.core(0);
     ASSERT_GT(core.robOccupancy(), 3u);
-    m.auditor()->checkNow();
 
     SimAuditor::TestAccess::skipRobId(core, 2);
-    expectInvariant(*m.auditor(), "core0", "ROB ids not consecutive");
+    expectInvariant(*f.m.auditor(), "core0", "ROB ids not consecutive");
+}
+
+TEST(AuditorTest, DoneEntryWithPendingLoadsIsAViolation)
+{
+    // Dependent dispatch reads "load outstanding" as "entry not done",
+    // so a done entry must have no load left in flight.
+    AuditedCore f(pageChase());
+    Core &core = f.m.core(0);
+    ASSERT_GT(core.robOccupancy(), 3u);
+
+    SimAuditor::TestAccess::markDoneWithPendingLoad(core, 2);
+    expectInvariant(*f.m.auditor(), "core0", "done with 1 pending loads");
+}
+
+TEST(AuditorTest, CoreSleepingPastADoneHeadIsAViolation)
+{
+    // ALU ops dispatch done, and dispatch outpaces retirement, so the
+    // head is done and retires on the core's next tick.
+    TraceInstr alu;
+    alu.ip = 0x400000;
+    AuditedCore f({alu});
+    Core &core = f.m.core(0);
+    ASSERT_TRUE(core.robHeadDone());
+    ASSERT_LE(core.wakeCycle(), f.m.cycle() + 1);
+
+    SimAuditor::TestAccess::sleepUntil(core, f.m.cycle() + 5);
+    expectInvariant(*f.m.auditor(), "core0", "ROB head done");
+}
+
+TEST(AuditorTest, StaleDramRowKeyIsAViolation)
+{
+    Cycle clock = 0;
+    Dram dram(DramConfig{}, &clock);
+    for (Addr line : {Addr{0}, Addr{1000}, Addr{70000}})
+        ASSERT_TRUE(dram.submitRead([line] {
+            MemRequest r;
+            r.pLine = line;
+            r.type = AccessType::Load;
+            return r;
+        }()));
+    AuditConfig acfg;
+    acfg.enabled = true;
+    SimAuditor auditor(acfg, &clock);
+    auditor.attach(static_cast<const mem::MemBackend *>(&dram));
+    auditor.checkNow();
+
+    SimAuditor::TestAccess::staleDramKey(dram, 1);
+    expectInvariant(auditor, "dram", "stale row/bank key");
 }
 
 // ------------------------------------------------------------ watchdog
