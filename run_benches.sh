@@ -12,6 +12,10 @@
 # The bench binaries fan (workload, spec) cells out over a worker pool;
 # BERTI_JOBS caps the pool (default: all hardware threads).
 #
+# Every bench run appends its name, wall seconds and exit code to
+# results/log/wall_s.tsv (tab-separated, one header line), so start-up
+# and per-binary cost show across resumed invocations.
+#
 # Sampled mode: set BERTI_SAMPLE_WINDOWS=N (plus optionally
 # BERTI_SAMPLE_WARMUP / BERTI_SAMPLE_MEASURE / BERTI_SAMPLE_STRIDE) and
 # every bench measures N sampled windows instead of the full region of
@@ -33,6 +37,23 @@ mkdir -p "$results" "$results/log"
 # .json.tmp files under $results/stats/). Completed outputs never carry
 # the .tmp suffix, so this only ever removes torn partials.
 find "$results" -name '*.tmp' -type f -exec rm -f {} + 2>/dev/null
+wall_log="$results/log/wall_s.tsv"
+[ -s "$wall_log" ] || printf 'bench\twall_s\texit\n' > "$wall_log"
+# timed NAME CMD [ARG...]: run CMD, append NAME, its wall seconds and
+# its exit code to $wall_log, and return that exit code. The caller's
+# redirections apply to CMD.
+timed() {
+    timed_name=$1
+    shift
+    timed_t0=$(date +%s.%N)
+    "$@"
+    timed_rc=$?
+    timed_t1=$(date +%s.%N)
+    awk -v n="$timed_name" -v t0="$timed_t0" -v t1="$timed_t1" \
+        -v rc="$timed_rc" 'BEGIN { printf "%s\t%.3f\t%d\n", n, t1 - t0, rc }' \
+        >> "$wall_log"
+    return $timed_rc
+}
 failed=""
 for b in build/bench/*; do
     n=$(basename "$b")
@@ -48,7 +69,7 @@ for b in build/bench/*; do
     # identically-named spec x workload cells never collide.
     BERTI_STATS_DIR="$results/stats/$n"
     export BERTI_STATS_DIR
-    if "./build/bench/$n" > "$tmp" 2> "$results/log/$n.stderr"; then
+    if timed "$n" "./build/bench/$n" > "$tmp" 2> "$results/log/$n.stderr"; then
         mv "$tmp" "$results/$n.txt"
         echo "=== $n done $(date +%T)"
     else
@@ -64,8 +85,8 @@ done
 if [ ! -s "$results/BENCH_simspeed.json" ]; then
     tmp="$results/.perf_simspeed.txt.tmp"
     tmpjson="$results/.BENCH_simspeed.json.tmp"
-    if ./build/bench/perf_simspeed "--out=$tmpjson" > "$tmp" \
-        2> "$results/log/perf_simspeed.stderr"; then
+    if timed perf_simspeed ./build/bench/perf_simspeed "--out=$tmpjson" \
+        > "$tmp" 2> "$results/log/perf_simspeed.stderr"; then
         mv "$tmpjson" "$results/BENCH_simspeed.json"
         mv "$tmp" "$results/perf_simspeed.txt"
     else
@@ -76,7 +97,8 @@ if [ ! -s "$results/BENCH_simspeed.json" ]; then
 fi
 if [ ! -s "$results/micro_prefetchers.txt" ]; then
     tmp="$results/.micro_prefetchers.txt.tmp"
-    if ./build/bench/micro_prefetchers --benchmark_min_time=0.1 \
+    if timed micro_prefetchers \
+        ./build/bench/micro_prefetchers --benchmark_min_time=0.1 \
         > "$tmp" 2> "$results/log/micro_prefetchers.stderr"; then
         mv "$tmp" "$results/micro_prefetchers.txt"
     else
@@ -111,7 +133,7 @@ if [ -n "${BERTI_TRACE_DIR:-}" ]; then
     else
         echo "=== traces start $(date +%T) (BERTI_TRACE_DIR=$BERTI_TRACE_DIR)"
         tmp="$results/.traces.txt.tmp"
-        if ./build/tools/sweep_tool \
+        if timed traces ./build/tools/sweep_tool \
             --workloads="$traces" \
             --specs="${BERTI_TRACE_SPECS:-none,ip-stride,berti}" \
             --store="$results/trace_store" \

@@ -25,22 +25,28 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : n(n), logForm(s == 1.0), oneMinusS(1.0 - s)
 {
-    // Rejection-free approximate inverse-CDF sampling for the bounded
-    // Zipf distribution, accurate enough for synthetic workloads.
+    if (n <= 1)
+        return;
+    if (logForm) {
+        h = std::log(static_cast<double>(n));
+        return;
+    }
+    h = (std::pow(static_cast<double>(n), oneMinusS) - 1.0) / oneMinusS;
+    invOneMinusS = 1.0 / oneMinusS;
+}
+
+std::uint64_t
+ZipfSampler::draw(Rng &rng) const
+{
     if (n <= 1)
         return 0;
-    double u = nextDouble();
-    if (s == 1.0) {
-        double h = std::log(static_cast<double>(n));
+    double u = rng.nextDouble();
+    if (logForm)
         return static_cast<std::uint64_t>(std::exp(u * h)) - 1;
-    }
-    double one_minus_s = 1.0 - s;
-    double h = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) /
-               one_minus_s;
-    double x = std::pow(u * h * one_minus_s + 1.0, 1.0 / one_minus_s);
+    double x = std::pow(u * h * oneMinusS + 1.0, invOneMinusS);
     std::uint64_t v = static_cast<std::uint64_t>(x);
     return v >= n ? n - 1 : v;
 }

@@ -44,12 +44,6 @@ class Rng
     /** Bernoulli draw with probability p of true. */
     bool nextBool(double p);
 
-    /**
-     * Zipf-distributed integer in [0, n) with exponent s. Used for
-     * power-law graph degrees and hot-set accesses.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
-
     /** Full generator state, for checkpoint export. */
     std::uint64_t serializeState() const { return state; }
 
@@ -58,6 +52,30 @@ class Rng
 
   private:
     std::uint64_t state;
+};
+
+/**
+ * Zipf-distributed integers in [0, n) with exponent s, used for
+ * power-law graph degrees and hot-set accesses. Rejection-free
+ * approximate inverse-CDF sampling, accurate enough for synthetic
+ * workloads. The normaliser depends only on (n, s), so it is computed
+ * once here; each draw costs one pow (one exp when s == 1) and consumes
+ * exactly one raw value of the Rng, or none when n <= 1.
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(std::uint64_t n, double s);
+
+    /** Next Zipf-distributed value, drawn from rng. */
+    std::uint64_t draw(Rng &rng) const;
+
+  private:
+    std::uint64_t n;
+    bool logForm;               //!< s == 1: exp of a uniform over [0, ln n)
+    double h = 0.0;             //!< ln n, or (n^(1-s) - 1) / (1-s)
+    double oneMinusS;
+    double invOneMinusS = 0.0;  //!< 1 / (1-s)
 };
 
 } // namespace berti

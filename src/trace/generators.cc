@@ -263,7 +263,8 @@ McfLikeGen::refill()
 // ------------------------------------------------------------------ Gcc
 
 GccLikeGen::GccLikeGen(const Params &params)
-    : p(params), rng(p.seed), sweepCursor(regionBase(1))
+    : p(params), rng(p.seed), hotZipf(p.hotLines, 0.9),
+      sweepCursor(regionBase(1))
 {}
 
 void
@@ -283,7 +284,7 @@ GccLikeGen::refill()
     }
 
     // Hot-set access with a Zipf bias: mostly L1-resident.
-    Addr line = rng.nextZipf(p.hotLines, 0.9);
+    Addr line = hotZipf.draw(rng);
     emitLoad(siteIp(100), regionBase(0) + lineToByte(line) +
                           8 * rng.nextBounded(8));
     emitAlu(siteIp(130), p.aluPerMem);
@@ -321,7 +322,8 @@ PointerChaseGen::refill()
 
 // ---------------------------------------------------------------- Cloud
 
-CloudLikeGen::CloudLikeGen(const Params &params) : p(params), rng(p.seed)
+CloudLikeGen::CloudLikeGen(const Params &params)
+    : p(params), rng(p.seed), hotZipf(p.hotLines, 0.8)
 {}
 
 void
@@ -334,7 +336,7 @@ CloudLikeGen::refill()
 
     bool cold = rng.nextBool(p.coldFraction);
     Addr line = cold ? p.hotLines + rng.nextBounded(p.coldLines)
-                     : rng.nextZipf(p.hotLines, 0.8);
+                     : hotZipf.draw(rng);
     emitLoad(ip, regionBase(0) + lineToByte(line) + 8 * rng.nextBounded(8));
     emitAlu(ip + 8, p.aluPerMem);
     if (rng.nextBool(1.0 / p.branchEvery))

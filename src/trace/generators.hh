@@ -200,6 +200,7 @@ class GccLikeGen : public QueuedGen
   private:
     Params p;
     Rng rng;
+    ZipfSampler hotZipf;
     Addr sweepCursor;
     unsigned sinceSweep = 0;
     unsigned iter = 0;
@@ -277,6 +278,7 @@ class CloudLikeGen : public QueuedGen
   private:
     Params p;
     Rng rng;
+    ZipfSampler hotZipf;
     std::uint64_t codePos = 0;
 };
 

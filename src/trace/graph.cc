@@ -10,7 +10,8 @@ namespace berti
 namespace
 {
 
-/// Assemble a CSR from an unsorted (src, dst) edge list.
+/// Assemble a CSR from an unsorted (src, dst) edge list, keeping each
+/// source's edges in list order.
 Csr
 fromEdges(std::uint32_t nodes,
           std::vector<std::pair<std::uint32_t, std::uint32_t>> &edges)
@@ -26,6 +27,29 @@ fromEdges(std::uint32_t nodes,
     std::vector<std::uint32_t> fill(g.rowPtr.begin(), g.rowPtr.end() - 1);
     for (const auto &e : edges)
         g.col[fill[e.first]++] = e.second;
+    return g;
+}
+
+/**
+ * Build a CSR row by row in node order: emit_row(col) appends the next
+ * node's targets to col. A builder that draws each node's edges in turn
+ * needs no edge list and no sort, since the stable counting sort of
+ * fromEdges would return its edges in exactly the order they were drawn.
+ * edge_hint only sizes the first allocation of col.
+ */
+template <class EmitRow>
+Csr
+fromRows(std::uint32_t nodes, std::size_t edge_hint, EmitRow emit_row)
+{
+    Csr g;
+    g.numNodes = nodes;
+    g.rowPtr.reserve(static_cast<std::size_t>(nodes) + 1);
+    g.rowPtr.push_back(0);
+    g.col.reserve(edge_hint);
+    for (std::uint32_t u = 0; u < nodes; ++u) {
+        emit_row(g.col);
+        g.rowPtr.push_back(static_cast<std::uint32_t>(g.col.size()));
+    }
     return g;
 }
 
@@ -51,15 +75,11 @@ makeUniformGraph(std::uint32_t nodes, std::uint32_t avg_degree,
                  std::uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(static_cast<std::size_t>(nodes) * avg_degree);
-    for (std::uint32_t u = 0; u < nodes; ++u) {
-        for (std::uint32_t d = 0; d < avg_degree; ++d) {
-            edges.emplace_back(
-                u, static_cast<std::uint32_t>(rng.nextBounded(nodes)));
-        }
-    }
-    return fromEdges(nodes, edges);
+    return fromRows(nodes, static_cast<std::size_t>(nodes) * avg_degree,
+                    [&](std::vector<std::uint32_t> &col) {
+        for (std::uint32_t d = 0; d < avg_degree; ++d)
+            col.push_back(static_cast<std::uint32_t>(rng.nextBounded(nodes)));
+    });
 }
 
 Csr
@@ -67,22 +87,19 @@ makeKronGraph(std::uint32_t nodes, std::uint32_t avg_degree,
               std::uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(static_cast<std::size_t>(nodes) * avg_degree);
-    for (std::uint32_t u = 0; u < nodes; ++u) {
-        // Per-node degree itself follows a power law.
-        std::uint32_t deg = 1 + static_cast<std::uint32_t>(
-                                    rng.nextZipf(4ull * avg_degree, 0.8));
+    // Per-node degree itself follows a power law.
+    ZipfSampler degree(4ull * avg_degree, 0.8);
+    ZipfSampler target(nodes, 0.75);
+    return fromRows(nodes, static_cast<std::size_t>(nodes) * avg_degree,
+                    [&](std::vector<std::uint32_t> &col) {
+        std::uint32_t deg = 1 + static_cast<std::uint32_t>(degree.draw(rng));
         for (std::uint32_t d = 0; d < deg; ++d) {
-            std::uint32_t v = static_cast<std::uint32_t>(
-                rng.nextZipf(nodes, 0.75));
+            std::uint32_t v = static_cast<std::uint32_t>(target.draw(rng));
             // Scatter hub IDs across the range so locality is realistic.
-            v = static_cast<std::uint32_t>(
-                (static_cast<std::uint64_t>(v) * 2654435761ull) % nodes);
-            edges.emplace_back(u, v);
+            col.push_back(static_cast<std::uint32_t>(
+                (static_cast<std::uint64_t>(v) * 2654435761ull) % nodes));
         }
-    }
-    return fromEdges(nodes, edges);
+    });
 }
 
 Csr

@@ -1,6 +1,6 @@
 #include "trace/registry.hh"
 
-#include <map>
+#include <iterator>
 #include <mutex>
 
 #include "trace/champsim.hh"
@@ -16,42 +16,22 @@ namespace berti
 namespace
 {
 
-/// Graphs are expensive to build and immutable; share them across all
-/// kernel workloads and across repeated bench invocations. Workload
-/// make() runs concurrently under the parallel runner, so the cache is
-/// mutex-guarded; the Csr itself is immutable and safe to share.
-std::shared_ptr<const Csr>
-sharedGraph(const std::string &name)
+/// The GAP input graphs, in registry order.
+struct GraphDef
 {
-    static std::mutex mutex;
-    static std::map<std::string, std::shared_ptr<const Csr>> cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(name);
-    if (it != cache.end())
-        return it->second;
+    const char *name;
+    Csr (*build)();
+};
 
-    std::shared_ptr<const Csr> g;
-    if (name == "kron") {
-        g = std::make_shared<const Csr>(makeKronGraph(1u << 19, 8, 0xC0FFEE));
-    } else if (name == "urand") {
-        g = std::make_shared<const Csr>(
-            makeUniformGraph(1u << 19, 8, 0xBEEF));
-    } else if (name == "road") {
-        g = std::make_shared<const Csr>(makeRoadGraph(768, 512, 0xF00D));
-    } else if (name == "twitter") {
-        // Denser power law: fewer nodes, heavier hubs (Twitter-like).
-        g = std::make_shared<const Csr>(
-            makeKronGraph(1u << 18, 16, 0x717717));
-    } else if (name == "web") {
-        // Sparser, larger crawl-like graph.
-        g = std::make_shared<const Csr>(makeKronGraph(1u << 19, 6, 0x3EB));
-    } else {
-        throw verify::SimError(verify::ErrorKind::Config, "sharedGraph",
-                               "unknown graph: '" + name + "'");
-    }
-    cache.emplace(name, g);
-    return g;
-}
+constexpr GraphDef kGapGraphs[] = {
+    {"kron", [] { return makeKronGraph(1u << 19, 8, 0xC0FFEE); }},
+    {"urand", [] { return makeUniformGraph(1u << 19, 8, 0xBEEF); }},
+    {"road", [] { return makeRoadGraph(768, 512, 0xF00D); }},
+    // Denser power law: fewer nodes, heavier hubs (Twitter-like).
+    {"twitter", [] { return makeKronGraph(1u << 18, 16, 0x717717); }},
+    // Sparser, larger crawl-like graph.
+    {"web", [] { return makeKronGraph(1u << 19, 6, 0x3EB); }},
+};
 
 std::vector<Workload>
 buildRegistry()
@@ -241,13 +221,12 @@ buildRegistry()
     // Larger-than-LLC graphs: property arrays of 4 MB+ and edge arrays
     // of 16 MB+ keep the gathers DRAM-resident, as with the paper's
     // graph inputs.
-    const char *graphs[] = {"kron", "urand", "road", "twitter", "web"};
     std::uint64_t gap_seed = 200;
     for (const auto &k : kernels) {
-        for (const char *gname : graphs) {
-            std::string name = std::string(k.tag) + "-" + gname;
+        for (const GraphDef &graph : kGapGraphs) {
+            std::string name = std::string(k.tag) + "-" + graph.name;
             GapKernel kern = k.k;
-            std::string graph_name = gname;
+            std::string graph_name = graph.name;
             std::uint64_t seed = ++gap_seed;
             w.push_back({name, "gap", [kern, graph_name, seed] {
                 return std::make_unique<GapGen>(kern,
@@ -288,6 +267,30 @@ buildRegistry()
 }
 
 } // namespace
+
+std::shared_ptr<const Csr>
+sharedGraph(const std::string &name)
+{
+    // One latch per graph: concurrent first uses of different graphs
+    // build in parallel, and only callers of the same graph wait for it.
+    struct Slot
+    {
+        std::once_flag built;
+        std::shared_ptr<const Csr> graph;
+    };
+    static Slot slots[std::size(kGapGraphs)];
+    for (std::size_t i = 0; i < std::size(kGapGraphs); ++i) {
+        if (name != kGapGraphs[i].name)
+            continue;
+        Slot &slot = slots[i];
+        std::call_once(slot.built, [&] {
+            slot.graph = std::make_shared<const Csr>(kGapGraphs[i].build());
+        });
+        return slot.graph;
+    }
+    throw verify::SimError(verify::ErrorKind::Config, "sharedGraph",
+                           "unknown graph: '" + name + "'");
+}
 
 const std::vector<Workload> &
 allWorkloads()

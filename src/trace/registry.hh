@@ -34,6 +34,16 @@ struct Workload
     std::uint64_t contentHash = 0;
 };
 
+struct Csr;
+
+/**
+ * The GAP input graph `name` ("kron", "urand", "road", "twitter" or
+ * "web"), built on first use and then shared, immutable, by every kernel
+ * workload over it. Safe to call from any thread; throws
+ * verify::SimError(ErrorKind::Config) for an unknown name.
+ */
+std::shared_ptr<const Csr> sharedGraph(const std::string &name);
+
 /** Every registered workload, in a stable order. */
 const std::vector<Workload> &allWorkloads();
 

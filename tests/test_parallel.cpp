@@ -191,13 +191,15 @@ TEST(ParallelMatrix, BitIdenticalToSerialAndOrdered)
 
 TEST(ParallelSuite, ConcurrentSharedGraphBuildIsSafeAndIdentical)
 {
-    // Four GAP kernels over the same graph: the workers race to build
-    // the registry's shared "urand" Csr on first use. Parallel runs
-    // first so the build itself happens under contention (TSan covers
-    // this test in CI).
+    // GAP kernels over two graphs, interleaved: on first use the workers
+    // race to build the registry's shared "urand" and "road" Csrs, both
+    // the same graph (one builds, the rest wait on its latch) and two
+    // different ones (built at the same time). Parallel runs first so
+    // the builds happen under contention (TSan covers this test in CI).
     std::vector<Workload> workloads = {
-        findWorkload("bfs-urand"), findWorkload("pr-urand"),
-        findWorkload("cc-urand"), findWorkload("sssp-urand")};
+        findWorkload("bfs-urand"), findWorkload("bfs-road"),
+        findWorkload("pr-urand"),  findWorkload("pr-road"),
+        findWorkload("cc-urand"),  findWorkload("sssp-road")};
     SimParams p;
     p.warmupInstructions = 2000;
     p.measureInstructions = 8000;
