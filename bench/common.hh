@@ -60,8 +60,10 @@ writeStatsSidecars(const std::vector<Workload> &workloads,
     std::string dir = sim::SimOptions::fromEnv().statsDir;
     if (dir.empty())
         return;
-    if (!subdir.empty())
-        dir += "/" + sanitizeLabel(subdir);
+    if (!subdir.empty()) {
+        dir += '/';
+        dir += sanitizeLabel(subdir);
+    }
     // A bench killed mid-write leaves a *.json.tmp staging file behind
     // (writeFile renames only on success); sweep them before writing so
     // the sidecar directory holds nothing but complete documents.
@@ -76,8 +78,10 @@ writeStatsSidecars(const std::vector<Workload> &workloads,
             std::string stem = sanitizeLabel(specs[s].name) + "__" +
                                sanitizeLabel(workloads[w].name);
             unsigned n = used[stem]++;
-            if (n > 0)
-                stem += "." + std::to_string(n);
+            if (n > 0) {
+                stem += '.';
+                stem += std::to_string(n);
+            }
             obs::writeFile(dir + "/" + stem + ".json",
                            obs::toJson(resultSnapshot(grid[s][w])));
         }

@@ -52,7 +52,9 @@ main()
         for (const auto &d : berti_pf->deltasFor(ip)) {
             if (d.status == BertiPrefetcher::DeltaStatus::NoPref)
                 continue;
-            deltas += (d.delta > 0 ? "+" : "") + std::to_string(d.delta);
+            if (d.delta > 0)
+                deltas += '+';
+            deltas += std::to_string(d.delta);
             deltas += d.status == BertiPrefetcher::DeltaStatus::L1Pref
                           ? "(L1) " : "(L2) ";
         }

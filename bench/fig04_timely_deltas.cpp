@@ -76,8 +76,11 @@ main()
         f.latency = latency;
         b.onFill(f);
 
-        std::string stride = have_prev
-            ? "+" + std::to_string(e.line - prev) : "-";
+        std::string stride = "-";
+        if (have_prev) {
+            stride = "+";
+            stride += std::to_string(e.line - prev);
+        }
         t.addRow({std::to_string(e.line), std::to_string(e.access),
                   stride,
                   std::to_string(b.timelyDeltasFound - before) +
@@ -103,9 +106,9 @@ main()
           default:
             break;
         }
-        d.addRow({(info.delta > 0 ? "+" : "") +
-                      std::to_string(info.delta),
-                  std::to_string(info.coverage), status});
+        std::string delta = info.delta > 0 ? "+" : "";
+        delta += std::to_string(info.delta);
+        d.addRow({delta, std::to_string(info.coverage), status});
     }
     d.print(std::cout);
     std::cout << "\nAs in the paper: +10 is seen twice (from 2->12 and "

@@ -59,7 +59,7 @@ Core::dispatch()
         if (fi.depLoadId && loadOutstanding(fi.depLoadId))
             return;
 
-        RobEntry entry;
+        RobEntry &entry = rob.emplace_back();
         entry.id = fi.id;
         entry.done = true;
 
@@ -67,7 +67,7 @@ Core::dispatch()
             ++stats.loads;
             auto queueLoad = [&](Addr vaddr) {
                 auto tr = translation->translate(vaddr);
-                MemRequest req;
+                MemRequest &req = queueAccess(tr.latency, false);
                 req.vLine = lineAddr(vaddr);
                 req.pLine = lineAddr(tr.paddr);
                 req.ip = in.ip;
@@ -75,7 +75,6 @@ Core::dispatch()
                 req.coreId = coreId;
                 req.instrId = fi.id;
                 req.client = this;
-                queueAccess(req, tr.latency, false);
                 ++entry.pendingLoads;
             };
             queueLoad(in.load0);
@@ -86,27 +85,27 @@ Core::dispatch()
         if (in.isStore()) {
             ++stats.stores;
             auto tr = translation->translate(in.store);
-            MemRequest req;
+            MemRequest &req = queueAccess(tr.latency, true);
             req.vLine = lineAddr(in.store);
             req.pLine = lineAddr(tr.paddr);
             req.ip = in.ip;
             req.type = AccessType::Rfo;
             req.coreId = coreId;
             req.client = nullptr;  // stores complete post-retirement
-            queueAccess(req, tr.latency, true);
         }
 
-        rob.push_back(entry);
         fetchBuffer.pop_front();
     }
 }
 
-void
-Core::queueAccess(const MemRequest &req, Cycle latency, bool is_store)
+MemRequest &
+Core::queueAccess(Cycle latency, bool is_store)
 {
-    Cycle ready = *clock + latency;
-    pendingAccesses.push_back({req, ready, is_store});
-    issueAt = std::min(issueAt, std::max(ready, *clock + 1));
+    PendingAccess &a = pendingAccesses.emplace_back();
+    a.readyCycle = *clock + latency;
+    a.isStore = is_store;
+    issueAt = std::min(issueAt, std::max(a.readyCycle, *clock + 1));
+    return a.req;
 }
 
 void
@@ -159,7 +158,10 @@ Core::fetch()
         if (fetchBuffer.size() >= cfg.fetchBufferSize)
             return;
 
-        TraceInstr in = gen->next();
+        // Built in place: the buffer slot is the instruction's only copy.
+        FetchedInstr &fi = fetchBuffer.emplace_back();
+        fi.instr = gen->next();
+        const TraceInstr &in = fi.instr;
 
         // Instruction-cache gate: a new instruction line must be present
         // in the L1I before the instruction can enter the fetch buffer.
@@ -184,19 +186,16 @@ Core::fetch()
                     fetchLinePending = true;
                 else
                     fetchLine = kNoAddr;  // retry next cycle
-                // The instruction itself still enters the buffer below;
+                // The instruction itself is already in the buffer;
                 // subsequent fetches wait for the fill.
             }
         }
 
-        FetchedInstr fi;
-        fi.instr = in;
         fi.id = nextInstrId++;
         if (in.dependsOnPrevLoad)
             fi.depLoadId = lastLoadId;
         if (in.isLoad())
             lastLoadId = fi.id;
-        fetchBuffer.push_back(fi);
 
         if (in.isBranch) {
             ++stats.branches;

@@ -171,9 +171,9 @@ class Core : public ReadClient
 
     void retire();
     void dispatch();
-    /** Queue a translated access and fold its ready cycle into the
-     *  issue bound. */
-    void queueAccess(const MemRequest &req, Cycle latency, bool is_store);
+    /** Queue an access translated in `latency` cycles, fold its ready
+     *  cycle into the issue bound, and return its request to fill. */
+    MemRequest &queueAccess(Cycle latency, bool is_store);
     void issueMemory();
     void fetch();
 

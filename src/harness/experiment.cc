@@ -57,8 +57,11 @@ makeSpecImpl(const std::string &combo, const sim::SimOptions *opt)
     };
     spec.l1d = resolve(l1_name);
     spec.l2 = resolve(l2_name);
-    spec.name = canon(l1_name) +
-                (l2_name.empty() ? "" : "+" + canon(l2_name));
+    spec.name = canon(l1_name);
+    if (!l2_name.empty()) {
+        spec.name += '+';
+        spec.name += canon(l2_name);
+    }
     spec.storageBits = bitsOf(spec.l1d) + bitsOf(spec.l2);
     return spec;
 }

@@ -208,7 +208,9 @@ Machine::registerAllMetrics()
     dram->registerMetrics(metricsReg, "dram.");
     llc->registerMetrics(metricsReg, "llc.");
     for (unsigned c = 0; c < cfg.cores; ++c) {
-        std::string p = "c" + std::to_string(c) + ".";
+        std::string p = "c";
+        p += std::to_string(c);
+        p += '.';
         CoreNode &n = *nodes[c];
         n.cpu->registerMetrics(metricsReg, p + "core.");
         n.l1iCache->registerMetrics(metricsReg, p + "l1i.");

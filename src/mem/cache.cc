@@ -41,7 +41,9 @@ Cache::Cache(const CacheConfig &config, const Cycle *clock_ptr)
           std::make_unique<obs::Histogram>(obs::Histogram::log2())),
       pf(std::make_unique<NoPrefetcher>()),
       repl(makeReplPolicy(cfg.repl, cfg.sets, cfg.ways)),
-      lines(static_cast<std::size_t>(cfg.sets) * cfg.ways),
+      tags(static_cast<std::size_t>(cfg.sets) * cfg.ways, kNoAddr),
+      lines(tags.size()),
+      maskSets((cfg.sets & (cfg.sets - 1)) == 0),
       mshr(cfg.mshrs), mshrIndex(cfg.mshrs)
 {
     validateCacheConfig(cfg);
@@ -54,6 +56,7 @@ Cache::Cache(const CacheConfig &config, const Cycle *clock_ptr)
     // pressure.
     rq.reserve(cfg.rqSize);
     pq.reserve(cfg.pqSize ? cfg.pqSize : 1);
+    pqKeys.reserve(pq.capacity());
     wq.reserve(2 * static_cast<std::size_t>(cfg.wqSize) + 8);
     mshrFree.reserve(cfg.mshrs);
     for (unsigned i = cfg.mshrs; i-- > 0;)
@@ -169,8 +172,9 @@ Cache::Line *
 Cache::findLine(Addr p_line)
 {
     std::size_t base = static_cast<std::size_t>(setIndex(p_line)) * cfg.ways;
+    const Addr *set_tags = tags.data() + base;
     for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (lines[base + w].valid && lines[base + w].pLine == p_line)
+        if (set_tags[w] == p_line)
             return &lines[base + w];
     }
     return nullptr;
@@ -185,8 +189,8 @@ Cache::findLine(Addr p_line) const
 Cache::MshrEntry *
 Cache::findMshr(Addr p_line)
 {
-    unsigned slot = mshrIndex.find(p_line);
-    return slot == MshrIndex::kNone ? nullptr : &mshr[slot];
+    const unsigned *slot = mshrIndex.find(p_line);
+    return slot ? &mshr[*slot] : nullptr;
 }
 
 Cache::MshrEntry *
@@ -196,7 +200,7 @@ Cache::allocMshr(Addr p_line)
         return nullptr;
     unsigned slot = mshrFree.back();
     mshrFree.pop_back();
-    mshrIndex.insert(p_line, slot);
+    mshrIndex.assign(p_line, slot);
     MshrEntry &e = mshr[slot];
     // Field-wise reset instead of `e = MshrEntry{}` so the waiters
     // vector keeps its capacity across reuse (allocation-free arena).
@@ -266,21 +270,17 @@ Cache::submitWriteback(Addr p_line)
 bool
 Cache::issuePrefetch(Addr line_addr, FillLevel level)
 {
-    MemRequest req;
-    req.type = AccessType::Prefetch;
-    req.fillLevel = level;
-    req.enqueueCycle = *clock;
-
     // Deduplicate against in-flight prefetch-queue entries before even
     // translating (ChampSim merges same-address PQ inserts the same way).
-    for (const auto &queued : pq) {
-        if ((cfg.isL1d ? queued.vLine : queued.pLine) == line_addr)
+    // line_addr is the key the entry would get (vLine at the L1D).
+    for (std::size_t i = 0; i < pqKeys.size(); ++i) {
+        if (pqKeys[i] == line_addr)
             return true;
     }
 
+    Addr p_line = line_addr;
     if (cfg.isL1d) {
         // Virtual request: translate through the STLB; drop on miss.
-        req.vLine = line_addr;
         Addr paddr = 0;
         if (!translation) {
             // Mis-wired configuration: validated at machine construction
@@ -299,9 +299,7 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
             }
             return false;
         }
-        req.pLine = lineAddr(paddr);
-    } else {
-        req.pLine = line_addr;
+        p_line = lineAddr(paddr);
     }
 
     if (pq.size() >= cfg.pqSize) {
@@ -312,7 +310,13 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
         }
         return false;
     }
-    pq.push_back(req);
+    MemRequest &req = pq.emplace_back();
+    req.vLine = cfg.isL1d ? line_addr : kNoAddr;
+    req.pLine = p_line;
+    req.type = AccessType::Prefetch;
+    req.fillLevel = level;
+    req.enqueueCycle = *clock;
+    pqKeys.push_back(line_addr);
     wakeAt = *clock;
     ++stats.prefetchIssued;
 
@@ -472,6 +476,7 @@ Cache::processPrefetches()
         if (!handlePrefetch(req))
             break;
         pq.pop_front();
+        pqKeys.pop_front();
         ++done;
     }
 }
@@ -739,7 +744,7 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
     lastEvictedUnusedPf = false;
     unsigned way = cfg.ways;
     for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (!lines[base + w].valid) {
+        if (tags[base + w] == kNoAddr) {
             way = w;
             break;
         }
@@ -748,10 +753,10 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
         way = repl->victim(set);
         Line &victim = lines[base + way];
         if (victim.dirty) {
-            lower->submitWriteback(victim.pLine);
+            lower->submitWriteback(tags[base + way]);
             ++stats.writebacks;
         }
-        lastEvictedPLine = victim.pLine;
+        lastEvictedPLine = tags[base + way];
         if (victim.prefetched && !victim.pfUsed) {
             ++stats.prefetchUseless;
             lastEvictedUnusedPf = true;
@@ -765,10 +770,9 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
     if (pqParked && pq.front().pLine == p_line)
         pqParked = false;
 
+    tags[base + way] = p_line;
     Line &l = lines[base + way];
-    l.pLine = p_line;
     l.vLine = v_line;
-    l.valid = true;
     l.dirty = dirty;
     l.prefetched = prefetched;
     l.pfUsed = false;
@@ -866,10 +870,11 @@ Cache::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
     w.tag(0xCAC4E000u);
     saveStatsFields(w, stats);
 
-    for (const Line &l : lines) {
-        w.u64(l.pLine);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const Line &l = lines[i];
+        w.u64(tags[i]);
         w.u64(l.vLine);
-        w.b(l.valid);
+        w.b(tags[i] != kNoAddr);
         w.b(l.dirty);
         w.b(l.prefetched);
         w.b(l.pfUsed);
@@ -931,10 +936,13 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     r.expectTag(0xCAC4E000u, cfg.name.c_str());
     loadStatsFields(r, stats);
 
-    for (Line &l : lines) {
-        l.pLine = r.u64();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        Line &l = lines[i];
+        tags[i] = r.u64();
         l.vLine = r.u64();
-        l.valid = r.b();
+        if (r.b() != (tags[i] != kNoAddr))
+            r.fail("a line's valid bit disagrees with its address in " +
+                   cfg.name);
         l.dirty = r.b();
         l.prefetched = r.b();
         l.pfUsed = r.b();
@@ -984,7 +992,7 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     mshrIndex.clear();
     for (unsigned i = 0; i < mshr.size(); ++i) {
         if (mshr[i].valid)
-            mshrIndex.insert(mshr[i].pLine, i);
+            mshrIndex.assign(mshr[i].pLine, i);
     }
 
     std::uint32_t nRq = r.u32();
@@ -993,8 +1001,11 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
         rq.push_back(loadRequest(r, clients));
     std::uint32_t nPq = r.u32();
     pq.clear();
-    for (std::uint32_t i = 0; i < nPq; ++i)
+    pqKeys.clear();
+    for (std::uint32_t i = 0; i < nPq; ++i) {
         pq.push_back(loadRequest(r, clients));
+        pqKeys.push_back(cfg.isL1d ? pq[i].vLine : pq[i].pLine);
+    }
     std::uint32_t nWq = r.u32();
     wq.clear();
     for (std::uint32_t i = 0; i < nWq; ++i)

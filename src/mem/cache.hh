@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
-#include "mem/mshr_index.hh"
 #include "mem/replacement.hh"
 #include "mem/request.hh"
 #include "prefetch/prefetcher.hh"
+#include "sim/line_map.hh"
 #include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -235,11 +235,10 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     CacheStats stats;
 
   private:
+    /** A way's state besides its tag (kept apart, in `tags`). */
     struct Line
     {
-        Addr pLine = kNoAddr;
         Addr vLine = kNoAddr;
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false;  //!< brought in by a prefetch
         bool pfUsed = false;      //!< prefetched line already demanded
@@ -276,7 +275,12 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
         Virtual  //!< anything else: classic virtual dispatch
     };
 
-    unsigned setIndex(Addr p_line) const { return p_line % cfg.sets; }
+    unsigned
+    setIndex(Addr p_line) const
+    {
+        return static_cast<unsigned>(maskSets ? p_line & (cfg.sets - 1)
+                                              : p_line % cfg.sets);
+    }
     Line *findLine(Addr p_line);
     const Line *findLine(Addr p_line) const;
     MshrEntry *findMshr(Addr p_line);
@@ -340,9 +344,13 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     Addr lastEvictedPLine = kNoAddr;
     bool lastEvictedUnusedPf = false;
 
-    std::vector<Line> lines;         //!< sets * ways
+    /** Line address of each way (sets * ways), kNoAddr when invalid:
+     *  lookups scan these packed 8-byte tags, not the Lines. */
+    std::vector<Addr> tags;
+    std::vector<Line> lines;         //!< sets * ways, beside tags
+    bool maskSets = false;           //!< sets is a power of two
     std::vector<MshrEntry> mshr;
-    MshrIndex mshrIndex;             //!< pLine -> mshr[] index, valid only
+    LineMap<unsigned> mshrIndex;     //!< pLine -> mshr[] index, valid only
     std::vector<unsigned> mshrFree;  //!< free-list of mshr[] indices
     unsigned mshrUsed = 0;
     unsigned unsentMshrs = 0;        //!< valid entries with !sentBelow
@@ -357,6 +365,9 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     PfDispatch pfDispatch = PfDispatch::None;
     RingQueue<MemRequest> rq;
     RingQueue<MemRequest> pq;
+    /** Dedup key of each PQ entry (vLine at the L1D, pLine elsewhere),
+     *  in step with pq, so issuePrefetch compares Addrs only. */
+    RingQueue<Addr> pqKeys;
     RingQueue<Addr> wq;
     std::vector<MemRequest> wakeScratch;  //!< readDone waiter staging
 };

@@ -11,11 +11,10 @@
 #ifndef BERTI_PREFETCH_MLOP_HH
 #define BERTI_PREFETCH_MLOP_HH
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "sim/line_map.hh"
 
 namespace berti
 {
@@ -48,13 +47,21 @@ class MlopPrefetcher : public Prefetcher
 
     Config cfg;
     std::vector<int> candidates;
-    /** scores[slot * lookaheads + la] for the current round. */
-    std::vector<unsigned> scores;
+    /**
+     * hist[slot * (lookaheads + 1) + k]: this round's accesses that
+     * candidate slot covered at every lookahead level below k, and at no
+     * level from k up. The score of (slot, level) is the suffix sum of
+     * k > level, taken only at round close.
+     */
+    std::vector<unsigned> hist;
     /** Best offset per lookahead level from the previous round. */
     std::vector<int> selected;
 
-    std::unordered_map<Addr, std::uint64_t> lastAccess;  //!< line -> idx
-    std::deque<Addr> window;   //!< lines in insertion order for eviction
+    /** Line -> index of its latest access within the window. */
+    LineMap<std::uint64_t> lastAccess;
+    /** Line of each of the last historyWindow accesses, a ring. */
+    std::vector<Addr> window;
+    std::size_t windowPos = 0;  //!< next slot (the oldest, once full)
     std::uint64_t accessIndex = 0;
     unsigned sinceUpdate = 0;
 };

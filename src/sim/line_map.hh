@@ -1,19 +1,20 @@
 /**
  * @file
- * Hashed index from a line address to the MSHR slot tracking its miss,
- * so a cache finds an in-flight miss in O(1) instead of scanning every
- * MSHR entry on each miss and fill.
+ * Hashed map from a line address to a small value, for the hot-path
+ * lookups that used to scan or use std::unordered_map: a cache finds the
+ * MSHR slot tracking a miss, and MLOP finds a line's last access index.
  *
  * Open addressing with linear probing over a power-of-two table at
- * least twice the MSHR count, so a probe always reaches an empty bucket
- * and chains stay short. Deletion shifts the rest of the chain back
- * instead of leaving tombstones, so lookups never degrade under
- * alloc/release churn. The table is sized once at construction: insert
- * and erase never allocate.
+ * least twice the most lines held at once, so a probe always reaches an
+ * empty bucket and chains stay short. Deletion shifts the rest of the
+ * chain back instead of leaving tombstones, so lookups never degrade
+ * under insert/erase churn. The table is sized once at construction:
+ * insert and erase never allocate. kNoAddr marks an empty bucket, so it
+ * is never a key.
  */
 
-#ifndef BERTI_MEM_MSHR_INDEX_HH
-#define BERTI_MEM_MSHR_INDEX_HH
+#ifndef BERTI_SIM_LINE_MAP_HH
+#define BERTI_SIM_LINE_MAP_HH
 
 #include <algorithm>
 #include <cstdint>
@@ -24,42 +25,43 @@
 namespace berti
 {
 
-class MshrIndex
+template <typename V>
+class LineMap
 {
   public:
-    /** find() result for a line with no entry. */
-    static constexpr unsigned kNone = ~0u;
-
-    /** Index for up to `entries` lines at once. */
-    explicit MshrIndex(unsigned entries)
+    /** Map for up to `entries` lines at once. */
+    explicit LineMap(std::size_t entries)
     {
         unsigned bits = 1;
-        while ((std::size_t{1} << bits) < 2 * std::size_t{entries})
+        while ((std::size_t{1} << bits) < 2 * entries)
             ++bits;
         shift = 64 - bits;
         table.resize(std::size_t{1} << bits);
     }
 
-    /** Slot of the entry for line, or kNone. */
-    unsigned
+    /** Value stored for line, or null. */
+    const V *
     find(Addr line) const
     {
         for (std::size_t i = home(line);; i = next(i)) {
             const Bucket &b = table[i];
-            if (b.slot == kNone || b.line == line)
-                return b.slot;
+            if (b.line == kNoAddr)
+                return nullptr;
+            if (b.line == line)
+                return &b.value;
         }
     }
 
-    /** Add line -> slot. The line must not be present already. */
+    /** Set line's value, adding the line if it is absent. */
     void
-    insert(Addr line, unsigned slot)
+    assign(Addr line, V value)
     {
         std::size_t i = home(line);
-        while (table[i].slot != kNone)
+        while (table[i].line != kNoAddr && table[i].line != line)
             i = next(i);
-        table[i] = {line, slot};
-        ++used;
+        if (table[i].line == kNoAddr)
+            ++used;
+        table[i] = {line, value};
     }
 
     /** Remove line's entry, if any. */
@@ -67,16 +69,18 @@ class MshrIndex
     erase(Addr line)
     {
         std::size_t hole = home(line);
-        while (table[hole].slot != kNone && table[hole].line != line)
-            hole = next(hole);
-        if (table[hole].slot == kNone)
-            return;
+        for (;; hole = next(hole)) {
+            if (table[hole].line == kNoAddr)
+                return;
+            if (table[hole].line == line)
+                break;
+        }
         // Backward shift: pull each later chain member whose home is not
         // between the hole and its bucket into the hole, so every entry
         // stays reachable from its home without crossing an empty bucket.
-        for (std::size_t i = next(hole); table[i].slot != kNone;
+        const std::size_t mask = table.size() - 1;
+        for (std::size_t i = next(hole); table[i].line != kNoAddr;
              i = next(i)) {
-            std::size_t mask = table.size() - 1;
             if (((i - home(table[i].line)) & mask) >= ((i - hole) & mask)) {
                 table[hole] = table[i];
                 hole = i;
@@ -93,7 +97,7 @@ class MshrIndex
         used = 0;
     }
 
-    /** Lines currently indexed. */
+    /** Lines currently held. */
     std::size_t size() const { return used; }
 
     /** Table size in buckets (a power of two). */
@@ -110,8 +114,8 @@ class MshrIndex
   private:
     struct Bucket
     {
-        Addr line = kNoAddr;
-        unsigned slot = kNone;  //!< kNone marks an empty bucket
+        Addr line = kNoAddr;  //!< kNoAddr marks an empty bucket
+        V value{};
     };
 
     std::size_t next(std::size_t i) const
@@ -126,4 +130,4 @@ class MshrIndex
 
 } // namespace berti
 
-#endif // BERTI_MEM_MSHR_INDEX_HH
+#endif // BERTI_SIM_LINE_MAP_HH

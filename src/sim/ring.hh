@@ -59,6 +59,21 @@ class RingQueue
         ++count;
     }
 
+    /**
+     * Append a value-initialised element and return it, so a caller
+     * fills the slot in place instead of copying in a temporary.
+     */
+    T &
+    emplace_back()
+    {
+        if (count == buf.size())
+            grow(count ? count * 2 : 8);
+        T &slot = buf[wrap(head + count)];
+        slot = T{};
+        ++count;
+        return slot;
+    }
+
     void
     pop_front()
     {

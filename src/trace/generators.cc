@@ -57,40 +57,34 @@ QueuedGen::next()
 void
 QueuedGen::emitAlu(Addr ip, unsigned count)
 {
-    for (unsigned i = 0; i < count; ++i) {
-        TraceInstr in;
-        in.ip = ip + 4 * i;
-        queue.push_back(in);
-    }
+    for (unsigned i = 0; i < count; ++i)
+        queue.emplace_back().ip = ip + 4 * i;
 }
 
 void
 QueuedGen::emitLoad(Addr ip, Addr vaddr, bool depends_on_prev)
 {
-    TraceInstr in;
+    TraceInstr &in = queue.emplace_back();
     in.ip = ip;
     in.load0 = vaddr;
     in.dependsOnPrevLoad = depends_on_prev;
-    queue.push_back(in);
 }
 
 void
 QueuedGen::emitStore(Addr ip, Addr vaddr)
 {
-    TraceInstr in;
+    TraceInstr &in = queue.emplace_back();
     in.ip = ip;
     in.store = vaddr;
-    queue.push_back(in);
 }
 
 void
 QueuedGen::emitBranch(Addr ip, bool taken)
 {
-    TraceInstr in;
+    TraceInstr &in = queue.emplace_back();
     in.ip = ip;
     in.isBranch = true;
     in.taken = taken;
-    queue.push_back(in);
 }
 
 // ---------------------------------------------------------------- Stream

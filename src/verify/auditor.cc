@@ -106,7 +106,8 @@ SimAuditor::checkCache(const Cache &cache) const
         // findMshr answers from the line index alone, so every valid
         // entry must be found through it, at its own slot. This also
         // rules out two valid entries for one line.
-        if (cache.mshrIndex.find(e.pLine) != slot)
+        const unsigned *indexed = cache.mshrIndex.find(e.pLine);
+        if (!indexed || *indexed != slot)
             fail(name, "MSHR entry " + std::to_string(slot) + " (line " +
                            std::to_string(e.pLine) +
                            ") is not found at its slot through the MSHR "
@@ -168,6 +169,22 @@ SimAuditor::checkCache(const Cache &cache) const
         fail(name, "PQ occupancy " + std::to_string(cache.pq.size()) +
                        " exceeds declared bound " +
                        std::to_string(ccfg.pqSize));
+    // issuePrefetch deduplicates against the key ring alone, so it must
+    // hold exactly the key of every PQ entry, in queue order.
+    if (cache.pqKeys.size() != cache.pq.size())
+        fail(name, "PQ key ring holds " +
+                       std::to_string(cache.pqKeys.size()) + " keys for " +
+                       std::to_string(cache.pq.size()) + " PQ entries");
+    for (std::size_t i = 0; i < cache.pq.size(); ++i) {
+        const MemRequest &req = cache.pq[i];
+        Addr key = ccfg.isL1d ? req.vLine : req.pLine;
+        if (cache.pqKeys[i] != key)
+            fail(name, "PQ key " + std::to_string(cache.pqKeys[i]) +
+                           " at position " + std::to_string(i) +
+                           " is not its entry's line " +
+                           std::to_string(key) +
+                           " (prefetch dedup would miss or over-drop)");
+    }
     // The WQ is soft-capacity by design (fills must never deadlock), so
     // its declared bound is a burst multiple of the configured size.
     std::size_t wq_bound = 16ull * ccfg.wqSize + 256;
@@ -176,24 +193,21 @@ SimAuditor::checkCache(const Cache &cache) const
                        " exceeds soft bound " + std::to_string(wq_bound));
 
     // ------------------------------------------- tag-array consistency
+    // findLine scans only the home set's tags and returns the first
+    // match, so a valid tag must sit in its home set, once.
     for (unsigned set = 0; set < ccfg.sets; ++set) {
         std::size_t base = static_cast<std::size_t>(set) * ccfg.ways;
         for (unsigned w = 0; w < ccfg.ways; ++w) {
-            const auto &line = cache.lines[base + w];
-            if (!line.valid)
+            Addr tag = cache.tags[base + w];
+            if (tag == kNoAddr)
                 continue;
-            if (line.pLine == kNoAddr)
-                fail(name, "valid line with no address in set " +
-                               std::to_string(set));
-            if (cache.setIndex(line.pLine) != set)
-                fail(name, "line " + std::to_string(line.pLine) +
+            if (cache.setIndex(tag) != set)
+                fail(name, "line " + std::to_string(tag) +
                                " stored in foreign set " +
                                std::to_string(set));
             for (unsigned w2 = w + 1; w2 < ccfg.ways; ++w2) {
-                const auto &other = cache.lines[base + w2];
-                if (other.valid && other.pLine == line.pLine)
-                    fail(name, "duplicate tag " +
-                                   std::to_string(line.pLine) +
+                if (cache.tags[base + w2] == tag)
+                    fail(name, "duplicate tag " + std::to_string(tag) +
                                    " in set " + std::to_string(set));
             }
         }

@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
-#include "mem/mshr_index.hh"
 #include "mem/multichannel.hh"
 #include "prefetch/next_line.hh"
+#include "sim/line_map.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "test_util.hh"
@@ -246,6 +246,55 @@ TEST_F(CacheFixture, PrefetchDedupInQueue)
     EXPECT_EQ(cache.pqOccupancy(), 1u);
 }
 
+TEST_F(CacheFixture, PrefetchDedupEndsWhenTheEntryLeavesTheQueue)
+{
+    ASSERT_TRUE(cache.issuePrefetch(800, FillLevel::L1));
+    ASSERT_TRUE(cache.issuePrefetch(801, FillLevel::L1));
+    Cycle wake = cache.wakeCycle();
+    ++clock;
+    EXPECT_TRUE(cache.issuePrefetch(801, FillLevel::L1));  // not the head
+    EXPECT_EQ(cache.pqOccupancy(), 2u);
+    EXPECT_EQ(cache.stats.prefetchIssued, 2u);
+    EXPECT_EQ(cache.wakeCycle(), wake);  // a duplicate wakes nothing
+
+    // Once the head is handled, its line queues again; 801 still dedups.
+    while (cache.pqOccupancy() == 2)
+        step(1);
+    EXPECT_TRUE(cache.issuePrefetch(800, FillLevel::L1));
+    EXPECT_TRUE(cache.issuePrefetch(801, FillLevel::L1));
+    EXPECT_EQ(cache.pqOccupancy(), 2u);
+    EXPECT_EQ(cache.stats.prefetchIssued, 3u);
+}
+
+TEST_F(CacheFixture, CheckpointWithQueuedPrefetchesKeepsDedup)
+{
+    ASSERT_TRUE(cache.issuePrefetch(800, FillLevel::L1));
+    ASSERT_TRUE(cache.issuePrefetch(804, FillLevel::L2));
+    sim::PtrMap clients;
+    clients.add(static_cast<ReadClient *>(&client));
+    clients.add(static_cast<ReadClient *>(&cache));
+    sim::ByteWriter first;
+    cache.saveState(first, clients);
+
+    Cache restored{smallConfig(), &clock};
+    restored.setLower(&mem);
+    sim::PtrMap restored_clients;
+    restored_clients.add(static_cast<ReadClient *>(&client));
+    restored_clients.add(static_cast<ReadClient *>(&restored));
+    sim::ByteReader r(first.data(), "test");
+    restored.loadState(r, restored_clients);
+    sim::ByteWriter second;
+    restored.saveState(second, restored_clients);
+    EXPECT_EQ(first.data(), second.data());
+
+    ASSERT_EQ(restored.pqOccupancy(), 2u);
+    EXPECT_TRUE(restored.issuePrefetch(804, FillLevel::L2));
+    EXPECT_EQ(restored.pqOccupancy(), 2u);
+    EXPECT_EQ(restored.stats.prefetchIssued, 2u);
+    EXPECT_TRUE(restored.issuePrefetch(808, FillLevel::L1));
+    EXPECT_EQ(restored.pqOccupancy(), 3u);
+}
+
 TEST_F(CacheFixture, PrefetchQueueFullDrops)
 {
     mem.refuseReads = true;
@@ -344,6 +393,34 @@ TEST_F(L1dFixture, PrefetchTranslatesAfterDemandWalk)
     EXPECT_TRUE(cache.issuePrefetch(lineAddr(0x50040), FillLevel::L1));
     step(60);
     EXPECT_TRUE(cache.probe(lineAddr(tu.translate(0x50040).paddr)));
+}
+
+TEST_F(L1dFixture, PrefetchDedupUsesTheVirtualLineAcrossACheckpoint)
+{
+    tu.translate(0x50000);  // demand walk installs the mapping
+    Addr v_line = lineAddr(0x50040);
+    Addr p_line = lineAddr(tu.translate(0x50040).paddr);
+    ASSERT_NE(v_line, p_line);
+    ASSERT_TRUE(cache.issuePrefetch(v_line, FillLevel::L1));
+    EXPECT_TRUE(cache.issuePrefetch(v_line, FillLevel::L1));
+    EXPECT_EQ(cache.pqOccupancy(), 1u);
+
+    sim::PtrMap clients;
+    clients.add(static_cast<ReadClient *>(&cache));
+    sim::ByteWriter saved;
+    cache.saveState(saved, clients);
+    Cache restored{cfg, &clock};
+    restored.setLower(&mem);
+    restored.setTranslation(&tu);
+    sim::PtrMap restored_clients;
+    restored_clients.add(static_cast<ReadClient *>(&restored));
+    sim::ByteReader r(saved.data(), "test");
+    restored.loadState(r, restored_clients);
+
+    // The rebuilt key ring still deduplicates by the virtual line.
+    EXPECT_TRUE(restored.issuePrefetch(v_line, FillLevel::L1));
+    EXPECT_EQ(restored.pqOccupancy(), 1u);
+    EXPECT_EQ(restored.stats.prefetchIssued, 1u);
 }
 
 TEST_F(L1dFixture, PrefetchedLineCarriesLatencyToFirstHit)
@@ -860,10 +937,11 @@ TEST(CacheTickGate, EachInputWakesADrainedCache)
     EXPECT_EQ(cache.mshrsInUse(), 1u);
 }
 
-TEST(MshrIndex, CollidingLinesChurnAgreesWithALinearScan)
+TEST(LineMap, CollidingLinesChurnAgreesWithALinearScan)
 {
     constexpr unsigned kSlots = 8;
-    MshrIndex index(kSlots);
+    constexpr unsigned kNone = ~0u;
+    LineMap<unsigned> index(kSlots);
     ASSERT_GE(index.buckets(), 2u * kSlots);
 
     // Lines whose probes start in the last bucket (their chains wrap
@@ -891,7 +969,11 @@ TEST(MshrIndex, CollidingLinesChurnAgreesWithALinearScan)
             if (slotLine[s] == line)
                 return s;
         }
-        return MshrIndex::kNone;
+        return kNone;
+    };
+    auto indexFind = [&](Addr line) {
+        const unsigned *slot = index.find(line);
+        return slot ? *slot : kNone;
     };
 
     Rng rng(5);
@@ -901,12 +983,18 @@ TEST(MshrIndex, CollidingLinesChurnAgreesWithALinearScan)
                           [](Addr a) { return a != kNoAddr; }));
         Addr line = pool[rng.nextBounded(pool.size())];
         unsigned slot = linearFind(line);
-        if (slot != MshrIndex::kNone) {
+        if (slot != kNone && used < kSlots && rng.nextBool(0.25)) {
+            // Move the line to a free slot: assign updates in place.
+            unsigned free_slot = linearFind(kNoAddr);
+            index.assign(line, free_slot);
+            slotLine[slot] = kNoAddr;
+            slotLine[free_slot] = line;
+        } else if (slot != kNone) {
             index.erase(line);
             slotLine[slot] = kNoAddr;
         } else if (used < kSlots) {
             unsigned free_slot = linearFind(kNoAddr);
-            index.insert(line, free_slot);
+            index.assign(line, free_slot);
             slotLine[free_slot] = line;
         }
         ASSERT_EQ(index.size(),
@@ -914,21 +1002,52 @@ TEST(MshrIndex, CollidingLinesChurnAgreesWithALinearScan)
                       slotLine.begin(), slotLine.end(),
                       [](Addr a) { return a != kNoAddr; })));
         for (Addr probe : pool)
-            ASSERT_EQ(index.find(probe), linearFind(probe))
+            ASSERT_EQ(indexFind(probe), linearFind(probe))
                 << "step " << step << " line " << probe;
     }
 
     index.clear();
     EXPECT_EQ(index.size(), 0u);
     for (Addr probe : pool)
-        EXPECT_EQ(index.find(probe), MshrIndex::kNone);
+        EXPECT_EQ(index.find(probe), nullptr);
 }
 
-TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
+TEST(CacheGeometry, ConsecutiveLinesLandInDistinctSets)
+{
+    // One way per set: `sets` consecutive lines all stay resident only
+    // if line % sets picks the set, by modulo for 3 sets and by mask
+    // for 4.
+    for (unsigned sets : {3u, 4u}) {
+        SCOPED_TRACE(std::to_string(sets) + " sets");
+        Cycle clock = 0;
+        CacheConfig cfg = smallConfig();
+        cfg.sets = sets;
+        cfg.ways = 1;
+        Cache cache{cfg, &clock};
+        TestMemory mem{&clock, 50};
+        cache.setLower(&mem);
+        const Addr base = 5 * sets + 1;
+        for (Addr line = base; line < base + sets; ++line)
+            cache.submitWriteback(line);  // write-allocates, no fetch
+        stepCycles(clock, cache, mem, sets);
+        for (Addr line = base; line < base + sets; ++line)
+            EXPECT_TRUE(cache.probe(line)) << "line " << line;
+        EXPECT_EQ(mem.writebacks, 0u);
+    }
+}
+
+namespace
+{
+
+/** Random misses, writebacks and prefetches on a small audited cache,
+ *  then a checkpoint round trip with misses in flight. */
+void
+churnAcrossACheckpoint(unsigned sets)
 {
     Cycle clock = 0;
-    CacheConfig cfg = smallConfig();  // 8 lines: the churn keeps missing
+    CacheConfig cfg = smallConfig();  // 2 ways: the churn keeps missing
     cfg.name = "index-churn";
+    cfg.sets = sets;
     cfg.mshrs = 8;
     cfg.rqSize = 16;
     Cache cache{cfg, &clock};
@@ -937,7 +1056,7 @@ TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
     CollectingClient client;
 
     // Lines that collide in this cache's index (same table geometry).
-    MshrIndex shape(cfg.mshrs);
+    LineMap<unsigned> shape(cfg.mshrs);
     std::vector<Addr> lines;
     for (Addr line = 1; lines.size() < 20; ++line) {
         if (shape.home(line) < 2)
@@ -950,7 +1069,8 @@ TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
     auditor.attach(&cache);
 
     // Random misses to the colliding lines, filled out of order, with
-    // dirty evictions from above installing some of them mid-flight.
+    // dirty evictions from above installing some of them mid-flight and
+    // prefetches (deduplicated through the PQ key ring) in between.
     Rng rng(9);
     unsigned peak = 0;
     for (unsigned c = 0; c < 4000; ++c) {
@@ -962,6 +1082,8 @@ TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
             cache.submitRead(load(line, &client));
         else if (rng.nextBool(0.05))
             cache.submitWriteback(line);
+        else if (rng.nextBool(0.3))
+            cache.issuePrefetch(line, FillLevel::L1);
         peak = std::max(peak, static_cast<unsigned>(cache.mshrsInUse()));
         ASSERT_NO_THROW(auditor.checkNow()) << "cycle " << clock;
     }
@@ -1004,6 +1126,17 @@ TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
     EXPECT_EQ(restored.mshrsInUse(), 0u);
     EXPECT_GT(client.done.size(), woken);
     EXPECT_NO_THROW(restored_auditor.checkNow());
+}
+
+} // namespace
+
+TEST(MshrIndex, CacheChurnKeepsTheIndexExactAcrossACheckpoint)
+{
+    // A 3-set cache finds a line's set by modulo, a 4-set one by mask.
+    for (unsigned sets : {3u, 4u}) {
+        SCOPED_TRACE(std::to_string(sets) + " sets");
+        churnAcrossACheckpoint(sets);
+    }
 }
 
 } // namespace berti

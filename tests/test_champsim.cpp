@@ -256,8 +256,9 @@ writeBytes(const std::string &path, const std::vector<unsigned char> &b)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << path;
-    if (!b.empty())
+    if (!b.empty()) {
         ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+    }
     ASSERT_EQ(std::fclose(f), 0);
 }
 

@@ -465,8 +465,10 @@ TEST_P(ObsFuzz, SnapshotJsonRoundTripsArbitraryValues)
     obs::MetricsSnapshot snap;
     unsigned metrics = 1 + rng.nextBounded(40);
     for (unsigned i = 0; i < metrics; ++i) {
-        std::string name = "m" + std::to_string(rng.nextBounded(1000)) +
-                           "." + std::to_string(i);
+        std::string name = "m";
+        name += std::to_string(rng.nextBounded(1000));
+        name += '.';
+        name += std::to_string(i);
         if (rng.nextBool(0.5)) {
             snap.setCounter(name, rng.next());
         } else {

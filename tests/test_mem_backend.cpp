@@ -609,7 +609,7 @@ TEST(BackendSimulate, MatrixIsJobCountInvariantPerBackend)
                                        resolveWorkload("cactu-like.709")};
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
-    for (const std::string &backend : {"dram:ddr5", "dram:hbm"}) {
+    for (std::string backend : {"dram:ddr5", "dram:hbm"}) {
         SimParams params;
         params.warmupInstructions = 2000;
         params.measureInstructions = 6000;

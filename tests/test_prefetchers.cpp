@@ -1,6 +1,11 @@
 /** @file Unit tests for the competitor prefetchers (IP-stride,
  *  next-line, BOP, MLOP, IPCP, VLDP, SPP, SPP-PPF, Bingo, MISB). */
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "prefetch/bingo.hh"
@@ -13,6 +18,7 @@
 #include "prefetch/ppf.hh"
 #include "prefetch/spp.hh"
 #include "prefetch/vldp.hh"
+#include "sim/rng.hh"
 #include "test_util.hh"
 
 namespace berti
@@ -206,6 +212,183 @@ TEST(Mlop, OffsetsTrackBothInterleavedStreams)
         EXPECT_TRUE(off == 0 || off % 1 == 0);
         EXPECT_LE(off, 16);
         EXPECT_GE(off, -16);
+    }
+}
+
+namespace
+{
+
+/**
+ * MLOP as first written: an unordered_map of last accesses expired
+ * through a deque, and one score increment per covered lookahead level.
+ * The reference the table-based MlopPrefetcher must match exactly.
+ */
+class RefMlop
+{
+  public:
+    static constexpr int kMaxOffset = 16;
+    static constexpr unsigned kLookaheads = 16;
+    static constexpr unsigned kUpdatePeriod = 500;
+    static constexpr unsigned kWindow = 2048;
+
+    RefMlop()
+    {
+        for (int o = -kMaxOffset; o <= kMaxOffset; ++o) {
+            if (o != 0)
+                candidates.push_back(o);
+        }
+        scores.assign(candidates.size() * kLookaheads, 0);
+        selected.assign(kLookaheads, 0);
+    }
+
+    void
+    onAccess(Addr line, RecordingPort &port)
+    {
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            Addr base = static_cast<Addr>(
+                static_cast<std::int64_t>(line) - candidates[i]);
+            auto it = lastAccess.find(base);
+            if (it == lastAccess.end())
+                continue;
+            std::uint64_t distance = accessIndex - it->second;
+            unsigned max_la = static_cast<unsigned>(
+                std::min<std::uint64_t>(distance, kLookaheads));
+            for (unsigned la = 0; la < max_la; ++la)
+                ++scores[i * kLookaheads + la];
+        }
+        lastAccess[line] = accessIndex;
+        window.push_back(line);
+        ++accessIndex;
+        while (window.size() > kWindow) {
+            Addr old = window.front();
+            window.pop_front();
+            auto it = lastAccess.find(old);
+            if (it != lastAccess.end() &&
+                it->second + kWindow < accessIndex) {
+                lastAccess.erase(it);
+            }
+        }
+        if (++sinceUpdate >= kUpdatePeriod) {
+            sinceUpdate = 0;
+            unsigned min_score =
+                static_cast<unsigned>(0.20 * kUpdatePeriod);
+            for (unsigned la = 0; la < kLookaheads; ++la) {
+                unsigned best_score = 0;
+                int best_offset = 0;
+                for (std::size_t i = 0; i < candidates.size(); ++i) {
+                    unsigned s = scores[i * kLookaheads + la];
+                    if (s > best_score) {
+                        best_score = s;
+                        best_offset = candidates[i];
+                    }
+                }
+                selected[la] = best_score >= min_score ? best_offset : 0;
+            }
+            std::fill(scores.begin(), scores.end(), 0);
+        }
+        for (unsigned la = 0; la < kLookaheads; ++la) {
+            if (selected[la] == 0)
+                continue;
+            port.issuePrefetch(static_cast<Addr>(
+                                   static_cast<std::int64_t>(line) +
+                                   selected[la]),
+                               FillLevel::L1);
+        }
+    }
+
+    std::vector<int> selected;
+
+  private:
+    std::vector<int> candidates;
+    std::vector<unsigned> scores;
+    std::unordered_map<Addr, std::uint64_t> lastAccess;
+    std::deque<Addr> window;
+    std::uint64_t accessIndex = 0;
+    unsigned sinceUpdate = 0;
+};
+
+} // namespace
+
+TEST(Mlop, MatchesReferenceImplementation)
+{
+    constexpr unsigned kRounds = 24;  // 12,000 accesses: ~6 windows
+    constexpr unsigned kAccesses = kRounds * RefMlop::kUpdatePeriod;
+
+    // Each stream maps an access number to a line.
+    Rng rng(42);
+    std::vector<Addr> perm(RefMlop::kWindow);
+    for (std::size_t i = 0; i < perm.size(); ++i)
+        perm[i] = i;
+    for (std::size_t i = perm.size(); i > 1; --i)
+        std::swap(perm[i - 1], perm[rng.nextBounded(i)]);
+    std::vector<Addr> random_lines(kAccesses);
+    for (Addr &line : random_lines)
+        line = 50000 + rng.nextBounded(3000);
+
+    struct Stream
+    {
+        const char *name;
+        std::function<Addr(unsigned)> line;
+    };
+    const std::vector<Stream> streams = {
+        {"strided", [](unsigned i) { return Addr{1000} + 3 * Addr{i}; }},
+        {"interleaved",
+         [](unsigned i) {
+             // +1, -2 and +5 streams, with a repeat every 7th access.
+             unsigned n = i / 3;
+             switch (i % 3) {
+               case 0:
+                 return Addr{10000} + n - (n % 7 == 0 ? 1 : 0);
+               case 1:
+                 return Addr{900000} - 2 * Addr{n};
+               default:
+                 return Addr{400000} + 5 * Addr{n};
+             }
+         }},
+        {"random",
+         [&random_lines](unsigned i) { return random_lines[i]; }},
+        // Every line comes back exactly one window later (the same
+        // line leaves and re-enters on one access), or one access
+        // before or after the window boundary.
+        {"revisit-after-2048",
+         [&perm](unsigned i) { return Addr{70000} + perm[i % 2048]; }},
+        {"revisit-after-2047",
+         [&perm](unsigned i) { return Addr{70000} + perm[i % 2047]; }},
+        {"revisit-after-2049",
+         [&perm](unsigned i) {
+             return Addr{70000} + 2 * perm[i % 2049 % 2048];
+         }},
+    };
+
+    for (const Stream &stream : streams) {
+        SCOPED_TRACE(stream.name);
+        MlopPrefetcher pf;
+        RecordingPort port;
+        pf.bind(&port);
+        RefMlop ref;
+        RecordingPort ref_port;
+        bool selected_any = false;
+        for (unsigned i = 0; i < kAccesses; ++i) {
+            Addr line = stream.line(i);
+            pf.onAccess(access(line));
+            ref.onAccess(line, ref_port);
+            if ((i + 1) % RefMlop::kUpdatePeriod != 0)
+                continue;
+            for (unsigned la = 0; la < RefMlop::kLookaheads; ++la) {
+                ASSERT_EQ(pf.offsetAt(la), ref.selected[la])
+                    << "access " << i << " level " << la;
+                selected_any |= ref.selected[la] != 0;
+            }
+            ASSERT_EQ(port.issues.size(), ref_port.issues.size())
+                << "access " << i;
+        }
+        EXPECT_TRUE(selected_any);
+        for (std::size_t k = 0; k < ref_port.issues.size(); ++k) {
+            ASSERT_EQ(port.issues[k].line, ref_port.issues[k].line)
+                << "issue " << k;
+            ASSERT_EQ(port.issues[k].level, ref_port.issues[k].level)
+                << "issue " << k;
+        }
     }
 }
 
@@ -503,8 +686,9 @@ TEST(AllPrefetchers, ReportNamesAndStorage)
     all.push_back(std::make_unique<MisbPrefetcher>());
     for (const auto &pf : all) {
         EXPECT_FALSE(pf->name().empty());
-        if (pf->name() != "next-line")
+        if (pf->name() != "next-line") {
             EXPECT_GT(pf->storageBits(), 0u);
+        }
     }
 }
 

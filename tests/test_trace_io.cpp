@@ -294,8 +294,9 @@ TEST(TraceIo, HeaderCountVsFileSizeFuzz)
         if (claimed <= 6) {
             ASSERT_TRUE(result.ok()) << "claimed=" << claimed;
             EXPECT_EQ(result.value().size(), claimed);
-            if (claimed > 0)
+            if (claimed > 0) {
                 EXPECT_EQ(result.value()[0].ip, 0x1000u);
+            }
         } else {
             ASSERT_FALSE(result.ok()) << "claimed=" << claimed;
             EXPECT_EQ(result.error().kind(),

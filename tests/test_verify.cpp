@@ -296,7 +296,38 @@ struct verify::SimAuditor::TestAccess
     static void
     addStaleMshrIndexEntry(Cache &cache, Addr p_line)
     {
-        cache.mshrIndex.insert(p_line, 0);
+        cache.mshrIndex.assign(p_line, 0);
+    }
+
+    /** Overwrite the tag of way `way` of set `set`. */
+    static void
+    setTag(Cache &cache, unsigned set, unsigned way, Addr p_line)
+    {
+        cache.tags[static_cast<std::size_t>(set) * cache.cfg.ways + way] =
+            p_line;
+    }
+
+    static Addr
+    tagAt(const Cache &cache, unsigned set, unsigned way)
+    {
+        return cache.tags[static_cast<std::size_t>(set) * cache.cfg.ways +
+                          way];
+    }
+
+    static void
+    bumpPqKey(Cache &cache, std::size_t pos)
+    {
+        cache.pqKeys[pos] += 1;
+    }
+
+    static void
+    dropLastPqKey(Cache &cache)
+    {
+        // The ring has no pop_back: rebuild it without its last key.
+        RingQueue<Addr> keys;
+        for (std::size_t i = 0; i + 1 < cache.pqKeys.size(); ++i)
+            keys.push_back(cache.pqKeys[i]);
+        cache.pqKeys = keys;
     }
 
     static void
@@ -399,6 +430,90 @@ TEST(AuditorTest, StaleLineIndexEntryIsAViolation)
     f.auditor->checkNow();
     SimAuditor::TestAccess::addStaleMshrIndexEntry(f.cache, 0x99);
     expectInvariant(*f.auditor, "index-under-test", "MSHR line index");
+}
+
+namespace
+{
+
+/** A 4-set cache with lines 0x40..0x43 resident (one per set) and two
+ *  prefetches queued, and an auditor watching it. */
+struct FilledCache
+{
+    FilledCache()
+    {
+        cache.setLower(&mem);
+        for (Addr line = 0x40; line < 0x44; ++line) {
+            MemRequest req;
+            req.pLine = line;
+            req.vLine = line;
+            req.type = AccessType::Load;
+            cache.submitRead(req);
+        }
+        for (int i = 0; i < 200; ++i) {
+            ++clock;
+            mem.tick();
+            cache.tick();
+        }
+        mem.refuseReads = true;  // keep the prefetches queued
+        cache.issuePrefetch(0x80, FillLevel::L1);
+        cache.issuePrefetch(0x81, FillLevel::L1);
+        AuditConfig acfg;
+        acfg.enabled = true;
+        auditor = std::make_unique<SimAuditor>(acfg, &clock);
+        auditor->attach(&cache);
+    }
+
+    Cycle clock = 0;
+    Cache cache{[] {
+        CacheConfig cfg;
+        cfg.name = "tags-under-test";
+        cfg.sets = 4;
+        cfg.ways = 2;
+        return cfg;
+    }(), &clock};
+    TestMemory mem{&clock, 40};
+    std::unique_ptr<SimAuditor> auditor;
+};
+
+} // namespace
+
+TEST(AuditorTest, TagOutsideItsHomeSetIsAViolation)
+{
+    FilledCache f;
+    ASSERT_TRUE(f.cache.probe(0x41));
+    f.auditor->checkNow();
+    // 0x45 belongs in set 1; put it in set 0's free way.
+    ASSERT_EQ(SimAuditor::TestAccess::tagAt(f.cache, 0, 1), kNoAddr);
+    SimAuditor::TestAccess::setTag(f.cache, 0, 1, 0x45);
+    expectInvariant(*f.auditor, "tags-under-test", "foreign set");
+}
+
+TEST(AuditorTest, DuplicateTagInASetIsAViolation)
+{
+    FilledCache f;
+    f.auditor->checkNow();
+    Addr resident = SimAuditor::TestAccess::tagAt(f.cache, 2, 0);
+    ASSERT_EQ(resident, Addr{0x42});
+    SimAuditor::TestAccess::setTag(f.cache, 2, 1, resident);
+    expectInvariant(*f.auditor, "tags-under-test", "duplicate tag");
+}
+
+TEST(AuditorTest, PqKeyThatIsNotItsEntrysLineIsAViolation)
+{
+    FilledCache f;
+    ASSERT_EQ(f.cache.pqOccupancy(), 2u);
+    f.auditor->checkNow();
+    SimAuditor::TestAccess::bumpPqKey(f.cache, 1);
+    expectInvariant(*f.auditor, "tags-under-test", "is not its entry's line");
+}
+
+TEST(AuditorTest, PqKeyRingOutOfStepWithThePqIsAViolation)
+{
+    FilledCache f;
+    ASSERT_EQ(f.cache.pqOccupancy(), 2u);
+    f.auditor->checkNow();
+    SimAuditor::TestAccess::dropLastPqKey(f.cache);
+    expectInvariant(*f.auditor, "tags-under-test", "PQ key ring holds 1");
 }
 
 namespace
