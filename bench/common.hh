@@ -1,24 +1,17 @@
 /**
  * @file
- * Shared plumbing for the bench binaries: default simulation lengths,
- * suite shortcuts, result matrices and normalisation helpers. Each
- * bench regenerates one table or figure of the paper.
+ * Shared plumbing of the figures program and perf_simspeed: default
+ * simulation lengths, the extra trace workloads, and file-name-safe
+ * labels.
  */
 
 #ifndef BERTI_BENCH_COMMON_HH
 #define BERTI_BENCH_COMMON_HH
 
-#include <cstdio>
-#include <cstdlib>
-#include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
-#include "harness/table.hh"
-#include "obs/export.hh"
 #include "sim/options.hh"
 #include "sim/spec_parse.hh"
 
@@ -41,63 +34,15 @@ sanitizeLabel(const std::string &label)
 }
 
 /**
- * When BERTI_STATS_DIR is set, write one machine-diffable JSON sidecar
- * per (spec, workload) cell — <dir>/<spec>__<workload>.json in the
- * stable resultSnapshot() schema. Colliding sanitized names get a
- * numeric suffix so no cell silently overwrites another. Called by
- * runSpecMatrix after the pool joins, so results arrive in input order
- * and the sidecar set is identical for every BERTI_JOBS value. A
- * non-empty subdir nests the sidecars one level down (fig24 keeps one
- * subdirectory per memory backend so identical spec x workload cells
- * from different backends never collide).
- */
-inline void
-writeStatsSidecars(const std::vector<Workload> &workloads,
-                   const std::vector<PrefetcherSpec> &specs,
-                   const std::vector<std::vector<SimResult>> &grid,
-                   const std::string &subdir = "")
-{
-    std::string dir = sim::SimOptions::fromEnv().statsDir;
-    if (dir.empty())
-        return;
-    if (!subdir.empty()) {
-        dir += '/';
-        dir += sanitizeLabel(subdir);
-    }
-    // A bench killed mid-write leaves a *.json.tmp staging file behind
-    // (writeFile renames only on success); sweep them before writing so
-    // the sidecar directory holds nothing but complete documents.
-    std::size_t stale = obs::removeStaleTempFiles(dir);
-    if (stale > 0) {
-        std::cerr << "stats: removed " << stale
-                  << " stale .tmp file(s) from " << dir << "\n";
-    }
-    std::map<std::string, unsigned> used;
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            std::string stem = sanitizeLabel(specs[s].name) + "__" +
-                               sanitizeLabel(workloads[w].name);
-            unsigned n = used[stem]++;
-            if (n > 0) {
-                stem += '.';
-                stem += std::to_string(n);
-            }
-            obs::writeFile(dir + "/" + stem + ".json",
-                           obs::toJson(resultSnapshot(grid[s][w])));
-        }
-    }
-}
-
-/**
  * File-backed workloads requested via BERTI_TRACE_WORKLOADS (or
  * --trace-workloads=): a comma-separated list of `file:` URIs or bare
- * trace paths. Benches append these to their workload lists so real
- * ChampSim traces ride along with the synthetic suites. Bare paths get
- * the `file:` prefix here; resolution errors are typed SimErrors from
- * resolveWorkload and abort the bench loudly.
+ * trace paths. Figures 9, 23 and 24 append these to their workload
+ * lists so real ChampSim traces ride along with the synthetic suites.
+ * Bare paths get the `file:` prefix here; resolution errors are typed
+ * SimErrors from resolveWorkload.
  */
 inline std::vector<Workload>
-extraTraceWorkloads(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
+extraTraceWorkloads(const sim::SimOptions &opt)
 {
     std::vector<Workload> out;
     for (std::string name : sim::splitTopLevel(opt.traceWorkloads, ',')) {
@@ -108,14 +53,14 @@ extraTraceWorkloads(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
     return out;
 }
 
-/** Default region-of-interest sizes for bench runs. Set
+/** Default region-of-interest sizes for figure runs. Set
  *  BERTI_BENCH_QUICK=1 (or pass --quick) for a fast smoke pass, and
  *  BERTI_SAMPLE_WINDOWS=N (or --sample-windows=N) to replace the long
- *  measurement region with N sampled windows — every bench then
- *  regenerates its figure from windowed samples at a fraction of the
- *  simulated instructions, stored under distinct result-store keys. */
+ *  measurement region with N sampled windows — every figure then
+ *  regenerates from windowed samples at a fraction of the simulated
+ *  instructions, stored under distinct result-store keys. */
 inline SimParams
-defaultParams(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
+defaultParams(const sim::SimOptions &opt)
 {
     SimParams p;
     p.warmupInstructions = 40000;
@@ -133,139 +78,10 @@ defaultParams(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
         // warmup shrinks with it (windows re-warm locally).
         p.warmupInstructions = opt.benchQuick ? 4000 : 8000;
     }
-    // BERTI_MEM_BACKEND / --mem-backend= flows into every bench cell;
+    // BERTI_MEM_BACKEND / --mem-backend= flows into every figure cell;
     // paramsFingerprint keys non-default backends separately.
     p.memBackend = opt.memBackend;
     return p;
-}
-
-/**
- * Run every (spec, workload) cell through the parallel worker pool
- * (BERTI_JOBS / hardware_concurrency), with thread-safe progress on
- * stderr. out[s][w] corresponds to specs[s] on workloads[w]; ordering
- * matches the inputs regardless of thread count.
- */
-inline std::vector<std::vector<SimResult>>
-runSpecMatrix(const std::vector<Workload> &workloads,
-              const std::vector<PrefetcherSpec> &specs,
-              const SimParams &params, const std::string &label = "matrix",
-              const std::string &sidecarSubdir = "")
-{
-    auto grid = runMatrixParallel(workloads, specs, params, /*jobs=*/0,
-                                  stderrProgress(label));
-    writeStatsSidecars(workloads, specs, grid, sidecarSubdir);
-    return grid;
-}
-
-/** spec-name -> per-workload results, scheduled on the parallel pool. */
-inline std::map<std::string, std::vector<SimResult>>
-runMatrix(const std::vector<Workload> &workloads,
-          const std::vector<std::string> &spec_names,
-          const SimParams &params)
-{
-    // Options-aware: hybrid specs pick up BERTI_HYBRID_* geometry and
-    // canonicalize their recorded names.
-    const sim::SimOptions opt = sim::SimOptions::fromEnv();
-    std::vector<PrefetcherSpec> specs;
-    specs.reserve(spec_names.size());
-    for (const auto &name : spec_names)
-        specs.push_back(makeSpec(name, opt));
-
-    auto grid = runSpecMatrix(workloads, specs, params,
-                              std::to_string(spec_names.size()) +
-                                  " specs x " +
-                                  std::to_string(workloads.size()) +
-                                  " workloads");
-    std::map<std::string, std::vector<SimResult>> out;
-    for (std::size_t s = 0; s < specs.size(); ++s)
-        out.emplace(spec_names[s], std::move(grid[s]));
-    return out;
-}
-
-/** Geomean speedup of a sub-range selected by suite. */
-inline double
-suiteSpeedup(const std::vector<Workload> &workloads,
-             const std::vector<SimResult> &test,
-             const std::vector<SimResult> &baseline,
-             const std::string &suite)
-{
-    std::vector<double> s;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (suite.empty() || workloads[i].suite == suite) {
-            if (baseline[i].ipc > 0)
-                s.push_back(test[i].ipc / baseline[i].ipc);
-        }
-    }
-    return geomean(s.data(), s.size());
-}
-
-/** Arithmetic mean of a per-workload metric over a suite. */
-template <typename Fn>
-double
-suiteMean(const std::vector<Workload> &workloads,
-          const std::vector<SimResult> &results, const std::string &suite,
-          Fn metric)
-{
-    double sum = 0.0;
-    unsigned n = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (suite.empty() || workloads[i].suite == suite) {
-            sum += metric(results[i]);
-            ++n;
-        }
-    }
-    return n ? sum / n : 0.0;
-}
-
-/**
- * Fills-weighted suite prefetch accuracy: total useful / total fills
- * at the given level (so workloads whose prefetches all landed one
- * level down do not contribute spurious zeros).
- */
-inline double
-suiteAccuracy(const std::vector<Workload> &workloads,
-              const std::vector<SimResult> &results,
-              const std::string &suite, bool l2 = false)
-{
-    double useful = 0, fills = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (!suite.empty() && workloads[i].suite != suite)
-            continue;
-        const CacheStats &c =
-            l2 ? results[i].roi.l2 : results[i].roi.l1d;
-        useful += static_cast<double>(c.prefetchUseful);
-        fills += static_cast<double>(c.prefetchFills);
-    }
-    return fills > 0 ? std::min(1.0, useful / fills) : 0.0;
-}
-
-/** Fills-weighted fraction of late useful prefetches at the L1D. */
-inline double
-suiteLateFraction(const std::vector<Workload> &workloads,
-                  const std::vector<SimResult> &results,
-                  const std::string &suite)
-{
-    double late = 0, fills = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (!suite.empty() && workloads[i].suite != suite)
-            continue;
-        late += static_cast<double>(results[i].roi.l1d.prefetchLate);
-        fills += static_cast<double>(results[i].roi.l1d.prefetchFills);
-    }
-    return fills > 0 ? late / fills : 0.0;
-}
-
-/** Sum of traffic (reads forwarded + writebacks) out of a level. */
-inline double
-trafficBelow(const CacheStats &c)
-{
-    return static_cast<double>(c.requestsBelow + c.writebacks);
-}
-
-inline double
-storageKb(const std::string &spec_name)
-{
-    return static_cast<double>(makeSpec(spec_name).storageBits) / 8192.0;
 }
 
 } // namespace berti::bench

@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <charconv>
 #include <cmath>
 
 #include "mem/backend_registry.hh"
@@ -158,6 +159,55 @@ computeDispersion(SampledResult &s)
     }
 }
 
+/**
+ * "berti" plus ";field=value" for every BertiConfig field that differs
+ * from the default. Doubles print in their shortest round-trip form, so
+ * two configs share a name only when every field is equal.
+ */
+std::string
+bertiSpecName(const BertiConfig &cfg)
+{
+    // Every field must be listed below, or two configs that differ only
+    // in the missing field would share result-store cells. The size
+    // check trips when a field is added; list it, then update the size.
+    static_assert(sizeof(BertiConfig) == 96,
+                  "fold every BertiConfig field into bertiSpecName");
+    const BertiConfig def;
+    std::string name = "berti";
+    auto add = [&name](const char *field, auto value, auto fallback) {
+        if (value == fallback)
+            return;
+        char buf[32];
+        auto res = std::to_chars(buf, buf + sizeof(buf), value);
+        name += ';';
+        name += field;
+        name += '=';
+        name.append(buf, res.ptr);
+    };
+    add("historySets", cfg.historySets, def.historySets);
+    add("historyWays", cfg.historyWays, def.historyWays);
+    add("deltaTableEntries", cfg.deltaTableEntries, def.deltaTableEntries);
+    add("deltasPerEntry", cfg.deltasPerEntry, def.deltasPerEntry);
+    add("maxTimelyPerSearch", cfg.maxTimelyPerSearch,
+        def.maxTimelyPerSearch);
+    add("phaseLength", cfg.phaseLength, def.phaseLength);
+    add("l1Watermark", cfg.l1Watermark, def.l1Watermark);
+    add("l2Watermark", cfg.l2Watermark, def.l2Watermark);
+    add("replWatermark", cfg.replWatermark, def.replWatermark);
+    add("warmupMinDeltas", cfg.warmupMinDeltas, def.warmupMinDeltas);
+    add("warmupWatermark", cfg.warmupWatermark, def.warmupWatermark);
+    add("maxSelectedDeltas", cfg.maxSelectedDeltas, def.maxSelectedDeltas);
+    add("mshrWatermark", cfg.mshrWatermark, def.mshrWatermark);
+    add("maxDeltaMagnitude", cfg.maxDeltaMagnitude, def.maxDeltaMagnitude);
+    add("latencyBits", cfg.latencyBits, def.latencyBits);
+    add("crossPage", int{cfg.crossPage}, int{def.crossPage});
+    add("requireTimely", int{cfg.requireTimely}, int{def.requireTimely});
+    add("issueAllDeltas", int{cfg.issueAllDeltas},
+        int{def.issueAllDeltas});
+    add("perPage", int{cfg.perPage}, int{def.perPage});
+    return name;
+}
+
 } // namespace
 
 PrefetcherSpec
@@ -173,10 +223,10 @@ makeSpec(const std::string &combo, const sim::SimOptions &opt)
 }
 
 PrefetcherSpec
-makeBertiSpec(const BertiConfig &cfg, const std::string &label)
+makeBertiSpec(const BertiConfig &cfg)
 {
     PrefetcherSpec spec;
-    spec.name = label;
+    spec.name = bertiSpecName(cfg);
     spec.l1d = [cfg] { return std::make_unique<BertiPrefetcher>(cfg); };
     spec.storageBits = bitsOf(spec.l1d);
     return spec;

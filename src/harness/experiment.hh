@@ -2,7 +2,8 @@
  * @file
  * Experiment harness: named prefetcher configurations (Table III), the
  * single-core and multi-core simulation drivers, and speedup helpers.
- * Every bench binary is a thin loop over these calls.
+ * The figures program and the sweep tools are thin loops over these
+ * calls.
  */
 
 #ifndef BERTI_HARNESS_EXPERIMENT_HH
@@ -59,9 +60,14 @@ PrefetcherSpec makeSpec(const std::string &combo);
 PrefetcherSpec makeSpec(const std::string &combo,
                         const sim::SimOptions &opt);
 
-/** Berti with a custom configuration (sensitivity benches). */
-PrefetcherSpec makeBertiSpec(const BertiConfig &cfg,
-                             const std::string &label = "berti");
+/**
+ * Berti with a custom configuration (sensitivity and ablation figures).
+ * The spec name is the configuration's identity, which result-store
+ * keys record: "berti" for the default config (the same cell as
+ * makeSpec("berti")), else "berti" followed by ";field=value" for every
+ * field that differs from the default, e.g. "berti;crossPage=0".
+ */
+PrefetcherSpec makeBertiSpec(const BertiConfig &cfg);
 
 /** Result of one single-core simulation region of interest. */
 struct SimResult

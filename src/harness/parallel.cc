@@ -1,9 +1,7 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -85,52 +83,6 @@ forEachIndexParallel(std::size_t total,
         if (failures[i])
             std::rethrow_exception(failures[i]);
     }
-}
-
-namespace
-{
-
-/** Fault injection shares one mutable injector across jobs; keep those
- *  runs serial so the injection sequence stays reproducible. */
-unsigned
-effectiveJobs(const SimParams &params, unsigned jobs)
-{
-    return params.faults ? 1 : jobs;
-}
-
-} // namespace
-
-std::vector<SimResult>
-runSuiteParallel(const std::vector<Workload> &workloads,
-                 const PrefetcherSpec &spec, const SimParams &params,
-                 unsigned jobs, const ProgressFn &progress)
-{
-    std::vector<SimResult> out(workloads.size());
-    forEachIndexParallel(
-        workloads.size(),
-        [&](std::size_t i) { out[i] = simulate(workloads[i], spec, params); },
-        effectiveJobs(params, jobs), progress);
-    return out;
-}
-
-std::vector<std::vector<SimResult>>
-runMatrixParallel(const std::vector<Workload> &workloads,
-                  const std::vector<PrefetcherSpec> &specs,
-                  const SimParams &params, unsigned jobs,
-                  const ProgressFn &progress)
-{
-    const std::size_t w_count = workloads.size();
-    std::vector<std::vector<SimResult>> out(
-        specs.size(), std::vector<SimResult>(w_count));
-    forEachIndexParallel(
-        specs.size() * w_count,
-        [&](std::size_t cell) {
-            std::size_t s = cell / w_count;
-            std::size_t w = cell % w_count;
-            out[s][w] = simulate(workloads[w], specs[s], params);
-        },
-        effectiveJobs(params, jobs), progress);
-    return out;
 }
 
 ProgressFn

@@ -1,23 +1,19 @@
 /**
  * @file
- * Parallel simulation runner: a fixed-size worker pool that fans the
- * independent (workload, spec) cells of a suite or matrix out across
- * threads. Every job builds its own Machine and trace generator from
- * the workload's factory, so results are bit-identical to the serial
- * path regardless of thread count.
+ * The worker pool: a fixed number of threads that run independent jobs
+ * by index. The supervised matrix runner (harness/supervisor.hh) fans
+ * its cells out on it; every cell builds its own Machine and trace
+ * generator, so results do not depend on the thread count.
  *
  * Contract:
- *  - Result ordering always matches input ordering; the schedule never
- *    leaks into the output.
+ *  - Each index runs exactly once; callers write results into per-index
+ *    slots, so the schedule never leaks into the output.
  *  - Worker failures are captured and the first one *in input order* is
  *    rethrown after all jobs finish, so a verify::SimError thrown by a
- *    simulation surfaces to the caller with its kind/diagnostic intact.
+ *    job surfaces to the caller with its kind/diagnostic intact.
  *  - The pool size defaults to std::thread::hardware_concurrency() and
  *    can be overridden with the BERTI_JOBS environment variable; a
  *    malformed BERTI_JOBS is a verify::SimError(ErrorKind::Config).
- *  - SimParams::faults points at a shared mutable FaultInjector, whose
- *    injection sequence would depend on thread interleaving; jobs with
- *    a fault injector therefore run serially (effective pool size 1).
  */
 
 #ifndef BERTI_HARNESS_PARALLEL_HH
@@ -26,9 +22,6 @@
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
-
-#include "harness/experiment.hh"
 
 namespace berti
 {
@@ -52,35 +45,14 @@ unsigned parallelJobCount();
  * Run fn(0), ..., fn(total - 1) on a pool of `jobs` worker threads
  * (0 = parallelJobCount()). All indices run even if some fail; after
  * the pool drains, the failure with the smallest index is rethrown.
- * This is the scheduling primitive under runSuiteParallel and
- * runMatrixParallel; benches with bespoke loops (multi-core mixes,
- * custom machine configs) can use it directly.
+ * This is the scheduling primitive under runSupervisedCells; figures
+ * with bespoke loops (multi-core mixes, custom machine configs) use it
+ * directly.
  */
 void forEachIndexParallel(std::size_t total,
                           const std::function<void(std::size_t)> &fn,
                           unsigned jobs = 0,
                           const ProgressFn &progress = {});
-
-/**
- * Parallel drop-in for runSuite: results[i] = simulate(workloads[i],
- * spec) with each workload an independent job. Bit-identical to
- * runSuite for any jobs value.
- */
-std::vector<SimResult>
-runSuiteParallel(const std::vector<Workload> &workloads,
-                 const PrefetcherSpec &spec, const SimParams &params = {},
-                 unsigned jobs = 0, const ProgressFn &progress = {});
-
-/**
- * Full matrix: out[s][w] = simulate(workloads[w], specs[s]). Every
- * (workload, spec) cell is an independent job, so a matrix keeps the
- * pool saturated even when individual suites are short.
- */
-std::vector<std::vector<SimResult>>
-runMatrixParallel(const std::vector<Workload> &workloads,
-                  const std::vector<PrefetcherSpec> &specs,
-                  const SimParams &params = {}, unsigned jobs = 0,
-                  const ProgressFn &progress = {});
 
 /**
  * A ProgressFn that renders `[bench] <label> done/total` on stderr,

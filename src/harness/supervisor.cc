@@ -1,28 +1,10 @@
 #include "harness/supervisor.hh"
 
-#include <chrono>
-#include <thread>
-
 namespace berti::harness
 {
 
 namespace
 {
-
-std::uint64_t
-backoffForAttempt(const SupervisorConfig &cfg, unsigned attempt)
-{
-    // Backoff before retry `attempt` (2-based: no wait before the
-    // first attempt): base << (attempt - 2), capped. The shift can wrap
-    // std::uint64_t long before shift 63 when the base is large (e.g.
-    // base 1000 ms has wrapped to 0 by shift 61), which would collapse
-    // the capped backoff to near zero — so test the cap *before*
-    // shifting, with the division-form comparison that cannot overflow.
-    std::uint64_t shift = attempt - 2;
-    if (shift >= 63 || cfg.backoffBaseMs > (cfg.backoffMaxMs >> shift))
-        return cfg.backoffMaxMs;
-    return cfg.backoffBaseMs << shift;
-}
 
 void
 recordError(CellResult &cell, const verify::SimError &e)
@@ -66,37 +48,28 @@ superviseCell(const Workload &workload, const PrefetcherSpec &spec,
         }
     }
 
-    for (unsigned attempt = 1; attempt <= cfg.maxAttempts; ++attempt) {
-        if (attempt > 1) {
-            std::uint64_t ms = backoffForAttempt(cfg, attempt);
-            cell.backoffMsTotal += ms;
-            std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        }
-        ++cell.attempts;
-        try {
-            if (cfg.preAttempt)
-                cfg.preAttempt(workload.name, spec.name, attempt);
-            cell.result = simulate(workload, spec, params);
-            cell.outcome = CellOutcome::Computed;
-            if (cfg.store)
-                cfg.store->store(key, resultSnapshot(cell.result));
-            return cell;
-        } catch (const verify::SimError &e) {
-            recordError(cell, e);
-        } catch (const std::exception &e) {
-            cell.error.has = true;
-            cell.error.kind = verify::ErrorKind::Worker;
-            cell.error.component = "Supervisor";
-            cell.error.reason = e.what();
-        }
+    try {
+        if (cfg.preAttempt)
+            cfg.preAttempt(workload.name, spec.name, 1);
+        cell.result = simulate(workload, spec, params);
+        cell.outcome = CellOutcome::Computed;
+        if (cfg.store)
+            cfg.store->store(key, resultSnapshot(cell.result));
+        return cell;
+    } catch (const verify::SimError &e) {
+        recordError(cell, e);
+    } catch (const std::exception &e) {
+        cell.error.has = true;
+        cell.error.kind = verify::ErrorKind::Worker;
+        cell.error.component = "Supervisor";
+        cell.error.reason = e.what();
     }
 
     cell.outcome = CellOutcome::Quarantined;
     if (cfg.store) {
         cfg.store->markQuarantined(
             key, std::string(verify::errorKindName(cell.error.kind)) +
-                     " after " + std::to_string(cell.attempts) +
-                     " attempts: " + cell.error.reason);
+                     ": " + cell.error.reason);
     }
     return cell;
 }
@@ -119,8 +92,27 @@ cellOutcomeName(CellOutcome outcome)
     return "unknown";
 }
 
+void
+SweepCounts::add(CellOutcome outcome)
+{
+    switch (outcome) {
+      case CellOutcome::Computed:
+        ++computed;
+        break;
+      case CellOutcome::FromStore:
+        ++fromStore;
+        break;
+      case CellOutcome::Quarantined:
+        ++quarantined;
+        break;
+      case CellOutcome::SkippedQuarantined:
+        ++skippedQuarantined;
+        break;
+    }
+}
+
 std::string
-SweepReport::summary() const
+SweepCounts::summary() const
 {
     return std::to_string(computed) + " computed, " +
            std::to_string(fromStore) + " from store, " +
@@ -128,16 +120,16 @@ SweepReport::summary() const
            std::to_string(skippedQuarantined) + " skipped-quarantined";
 }
 
-SweepReport
-runSupervisedMatrix(const std::vector<Workload> &workloads,
-                    const std::vector<PrefetcherSpec> &specs,
-                    const SimParams &params, const SupervisorConfig &config)
+std::vector<CellResult>
+runSupervisedCells(const std::vector<CellRequest> &cells,
+                   const SupervisorConfig &config)
 {
-    if (config.maxAttempts == 0) {
-        throw verify::SimError(verify::ErrorKind::Config, "Supervisor",
-                               "maxAttempts must be at least 1");
-    }
-    if (config.store && params.faults) {
+    // A shared fault injector's draw sequence must not depend on thread
+    // interleaving, so fault campaigns run on one worker.
+    bool faults = false;
+    for (const CellRequest &c : cells)
+        faults = faults || c.params->faults;
+    if (config.store && faults) {
         // paramsFingerprint cannot see the injector's configuration or
         // RNG state, so a fault-perturbed cell would hash to the same
         // store key as a clean run — poisoning the cache for every
@@ -150,46 +142,41 @@ runSupervisedMatrix(const std::vector<Workload> &workloads,
             "campaigns without a store");
     }
 
+    std::vector<CellResult> out(cells.size());
+    forEachIndexParallel(
+        cells.size(),
+        [&](std::size_t i) {
+            const CellRequest &c = cells[i];
+            out[i] = superviseCell(*c.workload, *c.spec, *c.params, config);
+        },
+        faults ? 1 : config.jobs, config.progress);
+    return out;
+}
+
+SweepReport
+runSupervisedMatrix(const std::vector<Workload> &workloads,
+                    const std::vector<PrefetcherSpec> &specs,
+                    const SimParams &params, const SupervisorConfig &config)
+{
+    std::vector<CellRequest> requests;
+    requests.reserve(specs.size() * workloads.size());
+    for (const PrefetcherSpec &s : specs) {
+        for (const Workload &w : workloads)
+            requests.push_back({&w, &s, &params});
+    }
+    std::vector<CellResult> flat = runSupervisedCells(requests, config);
+
     SweepReport report;
     for (const Workload &w : workloads)
         report.workloads.push_back(w.name);
     for (const PrefetcherSpec &s : specs)
         report.specs.push_back(s.name);
     report.cells.resize(specs.size());
-    for (auto &row : report.cells)
-        row.resize(workloads.size());
-
-    // Matches the pool's determinism rule: a shared fault injector's
-    // draw sequence must not depend on thread interleaving.
-    unsigned jobs = params.faults ? 1 : config.jobs;
-
-    std::size_t total = specs.size() * workloads.size();
-    forEachIndexParallel(
-        total,
-        [&](std::size_t i) {
-            std::size_t s = i / workloads.size();
-            std::size_t w = i % workloads.size();
-            report.cells[s][w] =
-                superviseCell(workloads[w], specs[s], params, config);
-        },
-        jobs, config.progress);
-
-    for (const auto &row : report.cells) {
-        for (const CellResult &cell : row) {
-            switch (cell.outcome) {
-              case CellOutcome::Computed:
-                ++report.computed;
-                break;
-              case CellOutcome::FromStore:
-                ++report.fromStore;
-                break;
-              case CellOutcome::Quarantined:
-                ++report.quarantined;
-                break;
-              case CellOutcome::SkippedQuarantined:
-                ++report.skippedQuarantined;
-                break;
-            }
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            CellResult &cell = flat[s * workloads.size() + w];
+            report.add(cell.outcome);
+            report.cells[s].push_back(std::move(cell));
         }
     }
     return report;

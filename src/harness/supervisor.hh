@@ -1,24 +1,25 @@
 /**
  * @file
- * Supervised sweep execution: the crash-safe layer over the worker
- * pool. Every (workload, spec) cell of a matrix gets
+ * Supervised matrix execution: the one runner every sweep goes through
+ * (the figures program, sweep_tool and the repository benchmark). Every
+ * cell gets
  *
  *  - a result-store lookup first, so interrupted sweeps resume from
  *    the cells that already completed,
  *  - a wall-clock deadline (SimParams::wallClockBudgetMs, enforced
  *    inside Machine::run as a typed Timeout error),
- *  - bounded retries with exponential backoff on any SimError,
- *  - quarantine after the attempts are exhausted: the failure is
- *    recorded as a typed per-cell error plus an on-disk marker, and
- *    the rest of the matrix keeps running — graceful degradation,
- *    never a lost sweep.
+ *  - quarantine on failure: the simulator is deterministic, so a cell
+ *    that failed once fails the same way again. After its one attempt
+ *    the failure is recorded as a typed per-cell error plus an on-disk
+ *    marker, and the rest of the matrix keeps running. --rerun-failed
+ *    (SupervisorConfig::rerunFailed) is the retry.
  *
  * The supervisor state machine per cell:
  *
  *   quarantined marker present and !rerunFailed -> SkippedQuarantined
  *   store hit                                   -> FromStore
- *   attempt 1..maxAttempts (backoff between)    -> Computed on success
- *   attempts exhausted                          -> Quarantined (marker)
+ *   simulation succeeds                         -> Computed
+ *   simulation throws                           -> Quarantined (marker)
  */
 
 #ifndef BERTI_HARNESS_SUPERVISOR_HH
@@ -40,9 +41,9 @@ namespace berti::harness
 /** How one supervised cell reached its final state. */
 enum class CellOutcome : std::uint8_t
 {
-    Computed,            //!< simulated (possibly after retries)
+    Computed,            //!< simulated
     FromStore,           //!< served from the result store
-    Quarantined,         //!< all attempts failed; marker written
+    Quarantined,         //!< the simulation failed; marker written
     SkippedQuarantined   //!< marker from an earlier sweep, not rerun
 };
 
@@ -55,8 +56,6 @@ struct CellResult
     std::string spec;
     CellOutcome outcome = CellOutcome::Computed;
     SimResult result;          //!< meaningful when ok()
-    unsigned attempts = 0;     //!< simulation attempts actually made
-    std::uint64_t backoffMsTotal = 0;
 
     /** Last failure, when outcome is (Skipped)Quarantined. SimError is
      *  not default-constructible, so the fields travel unpacked. */
@@ -77,16 +76,6 @@ struct CellResult
 
 struct SupervisorConfig
 {
-    /** Simulation attempts per cell before quarantine (>= 1). */
-    unsigned maxAttempts = 3;
-
-    /** Backoff before retry k (1-based) is
-     *  min(backoffBaseMs << (k - 1), backoffMaxMs), computed
-     *  overflow-safely: any base/shift combination that would wrap
-     *  saturates at backoffMaxMs. */
-    std::uint64_t backoffBaseMs = 10;
-    std::uint64_t backoffMaxMs = 2000;
-
     /** Optional result store (null = recompute everything). Refused
      *  (typed Config error) when the SimParams carry a fault injector:
      *  fault-perturbed results would share store keys with clean runs
@@ -97,37 +86,33 @@ struct SupervisorConfig
      *  first) instead of skipping them. */
     bool rerunFailed = false;
 
-    /** Worker threads (0 = parallelJobCount()); forced to 1 when the
-     *  SimParams carry a fault injector, matching the pool's rule. */
+    /** Worker threads (0 = parallelJobCount()); forced to 1 when any
+     *  cell's SimParams carry a fault injector, whose draw sequence
+     *  must not depend on thread interleaving. */
     unsigned jobs = 0;
 
     ProgressFn progress;
 
     /**
-     * Test hook, called before every simulation attempt with (workload,
-     * spec, 1-based attempt). A throw from here counts as that
-     * attempt's failure — how the tests script "fails N times, then
-     * succeeds" and "always crashes" cells without touching the
-     * simulator.
+     * Test hook, called before every simulation with (workload, spec,
+     * attempt); attempt is always 1. A throw from here counts as the
+     * cell's failure — how the tests script "always crashes" cells
+     * without touching the simulator.
      */
     std::function<void(const std::string &workload,
                        const std::string &spec, unsigned attempt)>
         preAttempt;
 };
 
-/** Outcome of a whole supervised matrix. */
-struct SweepReport
+/** Cells per final outcome. */
+struct SweepCounts
 {
-    std::vector<std::string> workloads;
-    std::vector<std::string> specs;
-
-    /** cells[s][w] matches specs[s] x workloads[w]. */
-    std::vector<std::vector<CellResult>> cells;
-
     std::size_t computed = 0;
     std::size_t fromStore = 0;
     std::size_t quarantined = 0;
     std::size_t skippedQuarantined = 0;
+
+    void add(CellOutcome outcome);
 
     bool allOk() const { return quarantined + skippedQuarantined == 0; }
 
@@ -135,13 +120,38 @@ struct SweepReport
     std::string summary() const;
 };
 
+/** Outcome of a whole supervised matrix. */
+struct SweepReport : SweepCounts
+{
+    std::vector<std::string> workloads;
+    std::vector<std::string> specs;
+
+    /** cells[s][w] matches specs[s] x workloads[w]. */
+    std::vector<std::vector<CellResult>> cells;
+};
+
+/** One cell of a supervised run; the pointees must outlive the call. */
+struct CellRequest
+{
+    const Workload *workload = nullptr;
+    const PrefetcherSpec *spec = nullptr;
+    const SimParams *params = nullptr;
+};
+
 /**
- * Run specs x workloads under supervision. Partial results by design:
- * a deterministically crashing cell ends up Quarantined with its typed
- * error while every other cell completes normally — the call only
- * throws for structural misuse (maxAttempts == 0), never for cell
- * failures.
+ * Run a list of cells under supervision on one pool: out[i] is the
+ * final state of cells[i]. Cells may mix params (the figures program
+ * runs every distinct cell of every figure in one call). Partial
+ * results by design: a crashing cell ends up Quarantined with its
+ * typed error while every other cell completes normally. The call
+ * throws only for misuse: a result store combined with fault
+ * injection.
  */
+std::vector<CellResult> runSupervisedCells(
+    const std::vector<CellRequest> &cells,
+    const SupervisorConfig &config = {});
+
+/** Run specs x workloads under one params through runSupervisedCells. */
 SweepReport runSupervisedMatrix(const std::vector<Workload> &workloads,
                                 const std::vector<PrefetcherSpec> &specs,
                                 const SimParams &params = {},

@@ -131,8 +131,6 @@ SimOptions::fromEnv()
             static_cast<std::size_t>(envU64("BERTI_OBS_PFTRACE", 0));
     opt.pfTracePeriod =
         envU64("BERTI_OBS_PFTRACE_PERIOD", opt.pfTracePeriod);
-    if (const char *dir = std::getenv("BERTI_STATS_DIR"); dir && *dir)
-        opt.statsDir = dir;
     if (const char *tw = std::getenv("BERTI_TRACE_WORKLOADS"); tw && *tw)
         opt.traceWorkloads = tw;
 
@@ -216,10 +214,6 @@ SimOptions::applyFlag(const std::string &arg)
     }
     if (const char *v = value("--jobs=")) {
         jobs = parseJobs(v);
-        return true;
-    }
-    if (const char *v = value("--stats-dir=")) {
-        statsDir = v;
         return true;
     }
     if (const char *v = value("--trace-workloads=")) {

@@ -74,12 +74,10 @@ struct SimOptions
     std::size_t pfTraceCapacity = 0;
     /** Record every Nth prefetch event (BERTI_OBS_PFTRACE_PERIOD). */
     std::uint64_t pfTracePeriod = 1;
-    /** Bench stats sidecar directory (BERTI_STATS_DIR); empty = off. */
-    std::string statsDir;
 
     // --------------------------------------------- real-trace ingestion
     /**
-     * Extra file-backed workloads appended to bench workload lists
+     * Extra file-backed workloads appended to figure workload lists
      * (BERTI_TRACE_WORKLOADS): a comma-separated list of `file:` URIs
      * or bare trace paths (`/t/x.champsim.xz,file:/t/y.trace`), each
      * resolved through trace::resolveWorkload next to the synthetic
@@ -158,7 +156,7 @@ struct SimOptions
     /**
      * Apply one "--key[=value]" override on top of the current values.
      * Recognised: --jobs=N, --quick, --no-cycle-skip, --cycle-skip,
-     * --stats-dir=DIR, --trace-workloads=LIST, --mem-backend=SPEC,
+     * --trace-workloads=LIST, --mem-backend=SPEC,
      * --verify,
      * --sample-windows=N, --sample-warmup=N,
      * --sample-measure=N, --sample-stride=N, --hybrid-degree=N,

@@ -27,7 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
+#include "test_util.hh"
 #include "harness/result_store.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
@@ -885,8 +885,8 @@ TEST(ChampSimDifferential, WorkerCountDoesNotPerturbFileWorkloads)
     std::vector<Workload> workloads = {w, synth};
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
-    auto one = runMatrixParallel(workloads, specs, params, /*jobs=*/1);
-    auto two = runMatrixParallel(workloads, specs, params, /*jobs=*/2);
+    auto one = test::supervisedGrid(workloads, specs, params, /*jobs=*/1);
+    auto two = test::supervisedGrid(workloads, specs, params, /*jobs=*/2);
     ASSERT_EQ(one.size(), two.size());
     for (std::size_t s = 0; s < one.size(); ++s) {
         for (std::size_t i = 0; i < one[s].size(); ++i) {

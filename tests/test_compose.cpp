@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/result_store.hh"
 #include "prefetch/compose.hh"
 #include "prefetch/registry.hh"
@@ -710,8 +709,8 @@ TEST(HybridDeterminism, BitIdenticalAcrossJobCounts)
         makeSpec("hybrid(berti,cmc;select=ip)"),
         makeSpec("hybrid(berti,markov;select=duel)")};
 
-    auto one = runMatrixParallel(workloads, specs, p, 1);
-    auto eight = runMatrixParallel(workloads, specs, p, 8);
+    auto one = test::supervisedGrid(workloads, specs, p, 1);
+    auto eight = test::supervisedGrid(workloads, specs, p, 8);
     ASSERT_EQ(one.size(), eight.size());
     for (std::size_t s = 0; s < one.size(); ++s) {
         ASSERT_EQ(one[s].size(), eight[s].size());

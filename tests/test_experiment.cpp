@@ -71,12 +71,35 @@ TEST(Spec, CustomBertiConfigPropagates)
 {
     BertiConfig cfg;
     cfg.crossPage = false;
-    PrefetcherSpec s = makeBertiSpec(cfg, "berti-nocross");
-    EXPECT_EQ(s.name, "berti-nocross");
+    PrefetcherSpec s = makeBertiSpec(cfg);
+    EXPECT_EQ(s.name, "berti;crossPage=0");
     auto pf = s.l1d();
     auto *b = dynamic_cast<BertiPrefetcher *>(pf.get());
     ASSERT_NE(b, nullptr);
     EXPECT_FALSE(b->config().crossPage);
+}
+
+TEST(Spec, BertiSpecNameIsItsConfiguration)
+{
+    // The default config is the registry's "berti" cell.
+    EXPECT_EQ(makeBertiSpec(BertiConfig{}).name, makeSpec("berti").name);
+
+    // Every differing field is named, so configs that simulate
+    // differently never share a result-store key.
+    BertiConfig a, b;
+    a.l1Watermark = 0.5;
+    a.l2Watermark = 0.2;
+    b.l1Watermark = 0.5;
+    b.l2Watermark = 0.35;
+    EXPECT_EQ(makeBertiSpec(a).name, "berti;l1Watermark=0.5;l2Watermark=0.2");
+    EXPECT_NE(makeBertiSpec(a).name, makeBertiSpec(b).name);
+
+    BertiConfig c;
+    c.historySets = 2;
+    c.latencyBits = 32;
+    c.perPage = true;
+    EXPECT_EQ(makeBertiSpec(c).name,
+              "berti;historySets=2;latencyBits=32;perPage=1");
 }
 
 TEST(TableTest, AlignedOutputContainsCells)

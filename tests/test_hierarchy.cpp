@@ -74,7 +74,7 @@ TEST(Hierarchy, L2FillPrefetchesSkipL1d)
     BertiConfig cfg;
     cfg.mshrWatermark = 0.0;  // occupancy is never below zero
     SimResult r = simulate(findWorkload("stream-like.1"),
-                           makeBertiSpec(cfg, "berti-l2only"), quick());
+                           makeBertiSpec(cfg), quick());
     EXPECT_EQ(r.roi.l1d.prefetchFills, 0u);
     EXPECT_GT(r.roi.l2.prefetchFills, 0u);
 }
@@ -86,7 +86,7 @@ TEST(Hierarchy, L2FillsStillHelpPerformance)
     SimResult none =
         simulate(findWorkload("stream-like.1"), makeSpec("none"), quick());
     SimResult l2 = simulate(findWorkload("stream-like.1"),
-                            makeBertiSpec(l2only, "berti-l2only"),
+                            makeBertiSpec(l2only),
                             quick());
     // L2 hits (~15 cycles) instead of DRAM (~250): solid gain even
     // without L1D fills.

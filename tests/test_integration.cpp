@@ -142,7 +142,7 @@ TEST(Integration, CrossPageAblationLosesPerformance)
     const Workload &w = findWorkload("stream-like.1");
     SimResult full = simulate(w, makeSpec("berti"), quick());
     SimResult cut =
-        simulate(w, makeBertiSpec(no_cross, "berti-nocross"), quick());
+        simulate(w, makeBertiSpec(no_cross), quick());
     EXPECT_GE(full.ipc, 0.98 * cut.ipc);
 }
 
@@ -154,7 +154,7 @@ TEST(Integration, TinyLatencyCounterHurts)
     const Workload &w = findWorkload("stream-like.1");
     SimResult full = simulate(w, makeSpec("berti"), quick());
     SimResult cut =
-        simulate(w, makeBertiSpec(tiny, "berti-lat4"), quick());
+        simulate(w, makeBertiSpec(tiny), quick());
     EXPECT_GT(full.ipc, cut.ipc);
 }
 

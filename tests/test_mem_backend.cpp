@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
+#include "test_util.hh"
 #include "harness/result_store.hh"
 #include "mem/backend_registry.hh"
 #include "mem/dram.hh"
@@ -615,8 +615,8 @@ TEST(BackendSimulate, MatrixIsJobCountInvariantPerBackend)
         params.measureInstructions = 6000;
         params.memBackend = backend;
 
-        auto grid1 = runMatrixParallel(workloads, specs, params, 1);
-        auto grid8 = runMatrixParallel(workloads, specs, params, 8);
+        auto grid1 = test::supervisedGrid(workloads, specs, params, 1);
+        auto grid8 = test::supervisedGrid(workloads, specs, params, 8);
         ASSERT_EQ(grid1.size(), grid8.size());
         for (std::size_t s = 0; s < grid1.size(); ++s) {
             for (std::size_t i = 0; i < grid1[s].size(); ++i) {

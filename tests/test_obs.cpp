@@ -13,7 +13,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
-#include "harness/parallel.hh"
+#include "test_util.hh"
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
@@ -707,9 +707,9 @@ TEST(Determinism, ExportBitIdenticalAcrossJobCounts)
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
     auto serial =
-        runMatrixParallel(workloads, specs, tinyParams(), /*jobs=*/1);
+        test::supervisedGrid(workloads, specs, tinyParams(), /*jobs=*/1);
     auto parallel =
-        runMatrixParallel(workloads, specs, tinyParams(), /*jobs=*/8);
+        test::supervisedGrid(workloads, specs, tinyParams(), /*jobs=*/8);
     for (std::size_t s = 0; s < specs.size(); ++s) {
         for (std::size_t w = 0; w < workloads.size(); ++w) {
             EXPECT_EQ(obs::toJson(resultSnapshot(serial[s][w])),

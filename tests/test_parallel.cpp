@@ -1,7 +1,8 @@
-/** @file Parallel runner tests: bit-identical results across thread
- *  counts (serial vs BERTI_JOBS = 1/2/8, with and without the
- *  invariant auditor), typed error propagation out of worker threads,
- *  ordering guarantees, and BERTI_JOBS parsing. */
+/** @file Parallel runner tests: the supervised matrix gives results
+ *  bit-identical to serial runs across thread counts (BERTI_JOBS =
+ *  1/2/8, with and without the invariant auditor), typed error
+ *  propagation out of worker threads, ordering guarantees of the pool,
+ *  and BERTI_JOBS parsing. */
 
 #include <cstdlib>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/parallel.hh"
+#include "test_util.hh"
 #include "verify/sim_error.hh"
 
 namespace berti
@@ -129,7 +131,7 @@ TEST(ParallelSuite, BitIdenticalToSerialAcrossJobCounts)
 
     auto serial = runSuite(workloads, spec, p);
     for (unsigned jobs : {1u, 2u, 8u}) {
-        auto par = runSuiteParallel(workloads, spec, p, jobs);
+        auto par = test::supervisedGrid(workloads, {spec}, p, jobs)[0];
         ASSERT_EQ(par.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             expectSameResult(serial[i], par[i],
@@ -147,7 +149,7 @@ TEST(ParallelSuite, HonoursBertiJobsEnvironment)
 
     auto serial = runSuite(workloads, spec, p);
     ScopedJobsEnv env("2");
-    auto par = runSuiteParallel(workloads, spec, p);  // jobs = 0 -> env
+    auto par = test::supervisedGrid(workloads, {spec}, p, 0)[0];  // env
     ASSERT_EQ(par.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResult(serial[i], par[i], workloads[i].name + "@env=2");
@@ -162,7 +164,7 @@ TEST(ParallelSuite, BitIdenticalUnderInvariantAuditor)
     PrefetcherSpec spec = makeSpec("berti");
 
     auto serial = runSuite(workloads, spec, p);
-    auto par = runSuiteParallel(workloads, spec, p, 4);
+    auto par = test::supervisedGrid(workloads, {spec}, p, 4)[0];
     ASSERT_EQ(par.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResult(serial[i], par[i], workloads[i].name + "@audit");
@@ -177,7 +179,7 @@ TEST(ParallelMatrix, BitIdenticalToSerialAndOrdered)
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride"),
                                          makeSpec("berti")};
 
-    auto grid = runMatrixParallel(workloads, specs, p, 4);
+    auto grid = test::supervisedGrid(workloads, specs, p, 4);
     ASSERT_EQ(grid.size(), specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
         ASSERT_EQ(grid[s].size(), workloads.size());
@@ -205,7 +207,7 @@ TEST(ParallelSuite, ConcurrentSharedGraphBuildIsSafeAndIdentical)
     p.measureInstructions = 8000;
     PrefetcherSpec spec = makeSpec("ip-stride");
 
-    auto par = runSuiteParallel(workloads, spec, p, 4);
+    auto par = test::supervisedGrid(workloads, {spec}, p, 4)[0];
     auto serial = runSuite(workloads, spec, p);
     ASSERT_EQ(par.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
@@ -225,7 +227,7 @@ TEST(Parallel, WorkerSimErrorPropagatesTyped)
                                "injected worker failure");
     };
     try {
-        runSuiteParallel(workloads, bad, p, 2);
+        test::supervisedGrid(workloads, {bad}, p, 2);
         FAIL() << "expected verify::SimError";
     } catch (const verify::SimError &e) {
         EXPECT_EQ(e.kind(), verify::ErrorKind::Config);

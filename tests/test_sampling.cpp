@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
+#include "test_util.hh"
 #include "harness/result_store.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
@@ -238,8 +238,8 @@ TEST(Sampling, BitIdenticalAcrossJobs)
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
 
-    auto serial = runMatrixParallel(workloads, specs, p, /*jobs=*/1);
-    auto threaded = runMatrixParallel(workloads, specs, p, /*jobs=*/4);
+    auto serial = test::supervisedGrid(workloads, specs, p, /*jobs=*/1);
+    auto threaded = test::supervisedGrid(workloads, specs, p, /*jobs=*/4);
     for (std::size_t s = 0; s < specs.size(); ++s) {
         for (std::size_t w = 0; w < workloads.size(); ++w) {
             EXPECT_EQ(resultJson(threaded[s][w]), resultJson(serial[s][w]))

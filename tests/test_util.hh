@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared test helpers: a scripted prefetch port that records issued
- * requests, and a fixed-latency backing memory for driving a Cache in
- * isolation.
+ * requests, a fixed-latency backing memory for driving a Cache in
+ * isolation, and a store-less supervised matrix for determinism
+ * checks.
  */
 
 #ifndef BERTI_TESTS_TEST_UTIL_HH
@@ -11,8 +12,10 @@
 #include <deque>
 #include <vector>
 
+#include "harness/supervisor.hh"
 #include "mem/cache.hh"
 #include "prefetch/prefetcher.hh"
+#include "verify/sim_error.hh"
 
 namespace berti::test
 {
@@ -119,6 +122,33 @@ stepCycles(Cycle &clock, Cache &cache, TestMemory &mem, unsigned n)
         mem.tick();
         cache.tick();
     }
+}
+
+/**
+ * specs x workloads through runSupervisedMatrix with no store on `jobs`
+ * workers (0 = BERTI_JOBS, else every hardware thread), as
+ * grid[s][w]. A failed cell is rethrown as its typed SimError.
+ */
+inline std::vector<std::vector<SimResult>>
+supervisedGrid(const std::vector<Workload> &workloads,
+               const std::vector<PrefetcherSpec> &specs,
+               const SimParams &params, unsigned jobs)
+{
+    harness::SupervisorConfig cfg;
+    cfg.jobs = jobs;
+    harness::SweepReport report =
+        harness::runSupervisedMatrix(workloads, specs, params, cfg);
+    std::vector<std::vector<SimResult>> grid(specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        for (const harness::CellResult &cell : report.cells[s]) {
+            if (!cell.ok()) {
+                throw verify::SimError(cell.error.kind, cell.error.component,
+                                       cell.error.reason);
+            }
+            grid[s].push_back(cell.result);
+        }
+    }
+    return grid;
 }
 
 } // namespace berti::test

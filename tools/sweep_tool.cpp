@@ -2,10 +2,10 @@
  * @file
  * Crash-safe sweep CLI over the supervised worker layer: runs a
  * (workload x spec) matrix with a content-addressed result store, so a
- * killed sweep resumes from its completed cells, deterministic
- * failures are retried with backoff and then quarantined, and the
- * final matrix is emitted as per-cell JSON sidecars byte-identical to
- * an uninterrupted run.
+ * killed sweep resumes from its completed cells, a failing cell is
+ * quarantined after its one attempt (the simulator is deterministic,
+ * so --rerun-failed is the retry), and the final matrix is emitted as
+ * per-cell JSON sidecars byte-identical to an uninterrupted run.
  *
  * Usage:
  *   sweep_tool [options]
@@ -24,9 +24,7 @@
  *     --sample-measure=N    per-window measured instructions (> 0)
  *     --sample-stride=N     window start spacing (0 = back-to-back)
  *     --jobs=N              worker threads (0 = auto)
- *     --attempts=N          max attempts per cell (default 3)
  *     --deadline-ms=N       per-simulation wall-clock budget
- *     --backoff-ms=N        base retry backoff (default 10)
  *     --rerun-failed        retry cells quarantined by earlier sweeps
  *     --poison=SPEC/WORKLOAD  deterministically fail that cell (tests)
  *     --quick               tiny warmup/measure for smoke tests
@@ -36,7 +34,6 @@
  * structural errors.
  */
 
-#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -75,8 +72,6 @@ struct Options
     std::string outDir;
     SimParams params;
     unsigned jobs = 0;
-    unsigned attempts = 3;
-    std::uint64_t backoffMs = 10;
     bool rerunFailed = false;
     std::string poisonSpec;
     std::string poisonWorkload;
@@ -127,12 +122,8 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.params.sampling.windowStride = std::stoull(v);
         } else if (valueOf(arg, "--jobs=", v)) {
             opt.jobs = static_cast<unsigned>(std::stoul(v));
-        } else if (valueOf(arg, "--attempts=", v)) {
-            opt.attempts = static_cast<unsigned>(std::stoul(v));
         } else if (valueOf(arg, "--deadline-ms=", v)) {
             opt.params.wallClockBudgetMs = std::stoull(v);
-        } else if (valueOf(arg, "--backoff-ms=", v)) {
-            opt.backoffMs = std::stoull(v);
         } else if (arg == "--rerun-failed") {
             opt.rerunFailed = true;
         } else if (valueOf(arg, "--poison=", v)) {
@@ -213,8 +204,6 @@ main(int argc, char **argv)
         }
 
         harness::SupervisorConfig sup;
-        sup.maxAttempts = opt.attempts;
-        sup.backoffBaseMs = opt.backoffMs;
         sup.store = store.get();
         sup.rerunFailed = opt.rerunFailed;
         sup.jobs = opt.jobs;
