@@ -277,7 +277,8 @@ fig03Report(const Opt &opt, const Matrices &ms, std::ostream &os)
         2,
         [&](std::size_t i) {
             gens[i] = w.make();
-            MachineConfig cfg = MachineConfig::sunnyCove(1);
+            MachineConfig cfg =
+                machineConfigFor(PrefetcherSpec{}, params, 1);
             cfg.l1dPrefetcher = factories[i];
             machines[i] = std::make_unique<Machine>(
                 cfg, std::vector<TraceGenerator *>{gens[i].get()});
@@ -607,10 +608,8 @@ ablL1iReport(const Opt &opt, const Matrices &, std::ostream &os)
             workloads.size(),
             [&](std::size_t i) {
                 auto gen = workloads[i].make();
-                MachineConfig cfg = MachineConfig::sunnyCove(1);
-                PrefetcherSpec spec = makeSpec(l1d_spec);
-                cfg.l1dPrefetcher = spec.l1d;
-                cfg.l2Prefetcher = spec.l2;
+                MachineConfig cfg =
+                    machineConfigFor(makeSpec(l1d_spec), params, 1);
                 if (l1i_pf) {
                     cfg.l1iPrefetcher = [] {
                         return std::make_unique<NextLinePrefetcher>(2);

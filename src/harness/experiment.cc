@@ -67,31 +67,6 @@ makeSpecImpl(const std::string &combo, const sim::SimOptions *opt)
     return spec;
 }
 
-/** The Table II machine configured for one simulation call. */
-MachineConfig
-machineConfigFor(const PrefetcherSpec &spec, const SimParams &params,
-                 unsigned cores)
-{
-    MachineConfig cfg = MachineConfig::sunnyCove(cores);
-    // Resolve the memory backend ("" = dram:ddr4, the historical
-    // machine), then layer the legacy DRAM-speed knob on top only when
-    // it was actually moved off its default — Figures 16-17 sweep
-    // dramMtps on the default backend exactly as before, while e.g.
-    // "dram:hbm" keeps its preset rate under default params.
-    mem::ParsedBackend backend = mem::parseBackendSpec(params.memBackend);
-    cfg.dram = backend.channel;
-    cfg.memBackend = backend.sel;
-    if (params.dramMtps != kDefaultDramMtps)
-        cfg.dram.mtps = params.dramMtps;
-    cfg.l1dPrefetcher = spec.l1d;
-    cfg.l2Prefetcher = spec.l2;
-    if (params.forceAudit)
-        cfg.audit.enabled = true;
-    cfg.faults = params.faults;
-    cfg.wallClockBudgetMs = params.wallClockBudgetMs;
-    return cfg;
-}
-
 /** Derive ipc + energy from an already-filled ROI. */
 SimResult
 finishResult(RunStats roi)
@@ -209,6 +184,30 @@ bertiSpecName(const BertiConfig &cfg)
 }
 
 } // namespace
+
+MachineConfig
+machineConfigFor(const PrefetcherSpec &spec, const SimParams &params,
+                 unsigned cores)
+{
+    MachineConfig cfg = MachineConfig::sunnyCove(cores);
+    // Resolve the memory backend ("" = dram:ddr4, the historical
+    // machine), then layer the legacy DRAM-speed knob on top only when
+    // it was actually moved off its default — Figures 16-17 sweep
+    // dramMtps on the default backend exactly as before, while e.g.
+    // "dram:hbm" keeps its preset rate under default params.
+    mem::ParsedBackend backend = mem::parseBackendSpec(params.memBackend);
+    cfg.dram = backend.channel;
+    cfg.memBackend = backend.sel;
+    if (params.dramMtps != kDefaultDramMtps)
+        cfg.dram.mtps = params.dramMtps;
+    cfg.l1dPrefetcher = spec.l1d;
+    cfg.l2Prefetcher = spec.l2;
+    if (params.forceAudit)
+        cfg.audit.enabled = true;
+    cfg.faults = params.faults;
+    cfg.wallClockBudgetMs = params.wallClockBudgetMs;
+    return cfg;
+}
 
 PrefetcherSpec
 makeSpec(const std::string &combo)

@@ -187,6 +187,17 @@ obs::MetricsSnapshot resultSnapshot(const SimResult &result);
 SimResult resultFromSnapshot(const obs::MetricsSnapshot &snap);
 
 /**
+ * The Table II machine for `cores` cores with spec's prefetchers and
+ * every params-level knob applied: the memory backend
+ * (params.memBackend, unknown specs throw verify::SimError(Config)), a
+ * moved DRAM rate, forced auditing, fault injection and the wall-clock
+ * budget. What simulate() and simulateMix() build; a bench that drives
+ * a Machine itself starts here and layers its own factories on top.
+ */
+MachineConfig machineConfigFor(const PrefetcherSpec &spec,
+                               const SimParams &params, unsigned cores);
+
+/**
  * Run one workload on the Table II machine with the given spec. When
  * params.sampling is enabled this is simulateSampled(...).aggregate —
  * every caller of simulate() (benches, supervisor, parallel matrices)

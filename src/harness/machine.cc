@@ -193,6 +193,7 @@ Machine::Machine(const MachineConfig &config,
         snapshots[c] = liveStats(c);
     runTargets.reserve(cfg.cores);
     runDone.reserve(cfg.cores);
+    tickedCores.reserve(cfg.cores);
 
     registerAllMetrics();
     if (cfg.sampler.interval > 0) {
@@ -237,47 +238,38 @@ Machine::registerAllMetrics()
 void
 Machine::tick()
 {
-    // A cache is ticked only once it is awake: until wakeCycle() its
-    // tick would do nothing. Input that reaches a cache before its turn
-    // in this cycle (a fill from below) wakes it for this cycle's tick;
-    // input after its turn (a request from above) wakes it for the next
-    // one, exactly when an every-cycle tick would first see it. A core
-    // is gated the same way, plus the L1D room it may wait on, which
-    // only the L1D's tick (just before) can make. The DRAM gates its
-    // own tick. A skipped core tick only counts the cycle.
-    auto tickAwake = [this](Cache &c) {
-        if (c.wakeCycle() <= clock)
+    // A cache is ticked only while it is awake: until wakeCycle() its
+    // tick would do nothing, unless unsent MSHRs wait on room below,
+    // which only the lower level's tick (earlier in the cycle) can make.
+    // Input that reaches a cache before its turn in this cycle (a fill
+    // from below) wakes it for this cycle's tick; input after its turn
+    // (a request from above) wakes it for the next one, exactly when an
+    // every-cycle tick would first see it. A core is gated the same way,
+    // on the L1D room it may wait on. The DRAM gates its own tick. A
+    // skipped core tick only counts the cycle.
+    auto tickAwake = [](Cache &c) {
+        if (c.awake())
             c.tick();
     };
     ++clock;
     dram->tick();
     tickAwake(*llc);
-    for (auto &n : nodes) {
-        tickAwake(*n->l2Cache);
-        tickAwake(*n->l1dCache);
-        tickAwake(*n->l1iCache);
-        Core &cpu = *n->cpu;
-        if (cpu.awake())
+    tickedCores.clear();
+    for (unsigned c = 0; c < cfg.cores; ++c) {
+        CoreNode &n = *nodes[c];
+        tickAwake(*n.l2Cache);
+        tickAwake(*n.l1dCache);
+        tickAwake(*n.l1iCache);
+        Core &cpu = *n.cpu;
+        if (cpu.awake()) {
             cpu.tick();
-        else
+            tickedCores.push_back(c);
+        } else {
             ++cpu.stats.cycles;
+        }
     }
     if (audit)
         audit->tick();
-}
-
-Cycle
-Machine::nextInterestingCycle() const
-{
-    Cycle next = dram->nextEventCycle();
-    next = std::min(next, llc->nextEventCycle());
-    for (const auto &n : nodes) {
-        next = std::min(next, n->l2Cache->nextEventCycle());
-        next = std::min(next, n->l1dCache->nextEventCycle());
-        next = std::min(next, n->l1iCache->nextEventCycle());
-        next = std::min(next, n->cpu->nextEventCycle());
-    }
-    return next;
 }
 
 void
@@ -307,24 +299,39 @@ Machine::run(std::uint64_t target_instructions)
     std::uint64_t max_cycles =
         clock + 2000ull * target_instructions + 1000000ull;
 
-    skipBackoff = 1;
-    skipProbeAt = 0;
     watchdog.reset(cfg.cores);
+    // The cycle the watchdog first finds a core wedged; it moves only
+    // when an observation records progress.
+    Cycle wedge_at = watchdog.nextDeadline();
+    // Retirement and the ROB head change only inside Core::tick, so a
+    // core that did not tick would be observed with the values it had
+    // last time. The first pass observes every core.
+    bool first_pass = true;
     while (remaining > 0 && clock < max_cycles) {
         tick();
-        for (unsigned c = 0; c < cfg.cores; ++c) {
+        bool progressed = false;
+        auto observe = [&](unsigned c) {
             Core &cpu = *nodes[c]->cpu;
-            watchdog.observe(c, cpu.stats.instructions,
-                             cpu.robHeadId());
+            progressed |= watchdog.observe(c, cpu.stats.instructions,
+                                           cpu.robHeadId());
             if (!runDone[c] && cpu.stats.instructions >= runTargets[c]) {
                 runDone[c] = 1;
                 snapshots[c] = liveStats(c);
                 --remaining;
             }
+        };
+        if (first_pass) {
+            for (unsigned c = 0; c < cfg.cores; ++c)
+                observe(c);
+            first_pass = false;
+        } else {
+            for (unsigned c : tickedCores)
+                observe(c);
         }
-        int wedged = watchdog.stalledCore();
-        if (wedged >= 0)
-            failWedged(static_cast<unsigned>(wedged));
+        if (progressed)
+            wedge_at = watchdog.nextDeadline();
+        if (clock >= wedge_at)
+            failWedged(static_cast<unsigned>(watchdog.stalledCore()));
 
         // Wall-clock deadline, probed every 16384 iterations so the
         // steady_clock read stays off the hot path. Purely an observer:
@@ -350,27 +357,28 @@ Machine::run(std::uint64_t target_instructions)
             sampler->maybeSample(nodes[0]->cpu->stats.instructions,
                                  clock);
 
-        // Quiescence cycle-skip: when every component is provably idle
-        // until some future cycle, fast-forward to just before the
-        // earliest of (component event, auditor interval check,
-        // watchdog deadline, hard bound) so the next tick executes at
-        // exactly the cycle it would have without skipping — results
-        // stay bit-identical (see ARCHITECTURE.md, "Performance").
-        if (cfg.cycleSkip && remaining > 0 && clock < max_cycles &&
-            clock >= skipProbeAt) {
-            Cycle next = nextInterestingCycle();
+        // Quiescence cycle-skip: every cache and core is asleep until
+        // its wake cycle and the DRAM until its next event, so
+        // fast-forward to just before the earliest of those, the
+        // auditor's interval check, the watchdog deadline and the hard
+        // bound. The next tick then executes at exactly the cycle it
+        // would have without skipping, and results stay bit-identical
+        // (see ARCHITECTURE.md, "Performance").
+        if (cfg.cycleSkip && remaining > 0 && clock < max_cycles) {
+            Cycle next = std::min<Cycle>(wedge_at, max_cycles);
             if (audit)
                 next = std::min(next, audit->nextCheckCycle());
-            next = std::min(next, watchdog.nextDeadline());
-            next = std::min(next, static_cast<Cycle>(max_cycles));
-            if (next > clock + 1) {
-                fastForward(next - (clock + 1));
-                skipBackoff = 1;
-                skipProbeAt = 0;
-            } else {
-                skipBackoff = std::min<Cycle>(skipBackoff * 2, 32);
-                skipProbeAt = clock + skipBackoff;
+            next = std::min(next, llc->wakeCycle());
+            for (const auto &n : nodes) {
+                next = std::min({next, n->l2Cache->wakeCycle(),
+                                 n->l1dCache->wakeCycle(),
+                                 n->l1iCache->wakeCycle(),
+                                 n->cpu->wakeCycle()});
             }
+            if (next > clock + 1)
+                next = std::min(next, dram->nextEventCycle());
+            if (next > clock + 1)
+                fastForward(next - (clock + 1));
         }
     }
 }

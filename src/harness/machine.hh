@@ -297,26 +297,13 @@ class Machine
     verify::ProgressWatchdog watchdog;
     std::unique_ptr<obs::IntervalSampler> sampler;
     std::uint64_t cyclesSkipped = 0;
-    // Quiescence-probe backoff: scanning every component each tick is
-    // pure overhead while the machine is busy, so failed probes back
-    // off exponentially (capped). Skipping later (or less) than
-    // possible is always safe — only *which* cycles are provably idle
-    // matters for invariance, not when we notice.
-    Cycle skipBackoff = 1;
-    Cycle skipProbeAt = 0;
     // run()-loop scratch, preallocated so the run loop itself stays
     // allocation-free.
     std::vector<std::uint64_t> runTargets;
     std::vector<char> runDone;
+    std::vector<unsigned> tickedCores;  //!< cores the last tick() ticked
 
     void tick();
-
-    /**
-     * Earliest future cycle at which any component would do work given
-     * no new input (kNever when everything is drained). The min over
-     * every cache, core and the DRAM controller's own bounds.
-     */
-    Cycle nextInterestingCycle() const;
 
     /** Jump the clock forward over provably idle cycles, keeping the
      *  per-core cycle counters in lockstep (an idle tick's only effect). */

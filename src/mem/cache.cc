@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/berti.hh"
 #include "obs/event_trace.hh"
@@ -44,7 +45,8 @@ Cache::Cache(const CacheConfig &config, const Cycle *clock_ptr)
       tags(static_cast<std::size_t>(cfg.sets) * cfg.ways, kNoAddr),
       lines(tags.size()),
       maskSets((cfg.sets & (cfg.sets - 1)) == 0),
-      mshr(cfg.mshrs), mshrIndex(cfg.mshrs)
+      mshr(cfg.mshrs), mshrIndex(cfg.mshrs),
+      unsentMask((cfg.mshrs + 63) / 64, 0)
 {
     validateCacheConfig(cfg);
     pf->bind(this);
@@ -221,10 +223,26 @@ Cache::allocMshr(Addr p_line)
 }
 
 void
+Cache::noteFirstSend(MshrEntry &e, bool sent)
+{
+    e.sentBelow = sent;
+    if (sent) {
+        ++stats.requestsBelow;
+        return;
+    }
+    ++unsentMshrs;
+    auto slot = static_cast<unsigned>(&e - mshr.data());
+    unsentMask[slot / 64] |= std::uint64_t{1} << (slot % 64);
+}
+
+void
 Cache::releaseMshr(MshrEntry *e)
 {
-    if (!e->sentBelow)
+    if (!e->sentBelow) {
         --unsentMshrs;
+        auto slot = static_cast<unsigned>(e - mshr.data());
+        unsentMask[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    }
     rqParked = pqParked = false;
     mshrIndex.erase(e->pLine);
     e->valid = false;
@@ -254,7 +272,8 @@ Cache::submitRead(MemRequest req)
         return false;
     req.enqueueCycle = *clock;
     rq.push_back(req);
-    wakeAt = *clock;
+    // Nothing can handle the request before its lookup latency is over.
+    wakeAt = std::min(wakeAt, *clock + cfg.latency);
     return true;
 }
 
@@ -317,7 +336,7 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
     req.fillLevel = level;
     req.enqueueCycle = *clock;
     pqKeys.push_back(line_addr);
-    wakeAt = *clock;
+    wakeAt = std::min(wakeAt, *clock + cfg.latency);
     ++stats.prefetchIssued;
 
     // Classify against the access that (synchronously) triggered this
@@ -410,8 +429,10 @@ Cache::tick()
 Cycle
 Cache::nextEventCycle() const
 {
-    // Pending writes and unsent MSHR retries are attempted every cycle.
-    if (!wq.empty() || unsentMshrs > 0)
+    // Pending writes are drained every cycle, unsent MSHR retries every
+    // cycle the level below may take one (else awake() catches the
+    // lower level's tick that makes room).
+    if (!wq.empty() || (unsentMshrs > 0 && lower->mayAcceptAnyRead()))
         return *clock + 1;
     Cycle next = kNever;
     // Reads/prefetches are head-of-line: only the head's maturity
@@ -621,11 +642,7 @@ Cache::handleRead(MemRequest &req)
     MemRequest fwd = req;
     fwd.client = this;
     e->fwd = fwd;
-    e->sentBelow = lower->submitRead(fwd);
-    if (e->sentBelow)
-        ++stats.requestsBelow;
-    else
-        ++unsentMshrs;
+    noteFirstSend(*e, lower->submitRead(fwd));
 
     if (demand && (req.type == AccessType::Load ||
                    req.type == AccessType::Rfo ||
@@ -701,11 +718,7 @@ Cache::handlePrefetch(MemRequest &req)
     MemRequest fwd = req;
     fwd.client = this;
     e->fwd = fwd;
-    e->sentBelow = lower->submitRead(fwd);
-    if (e->sentBelow)
-        ++stats.requestsBelow;
-    else
-        ++unsentMshrs;
+    noteFirstSend(*e, lower->submitRead(fwd));
     return true;
 }
 
@@ -713,23 +726,26 @@ void
 Cache::retryUnsentMshrs()
 {
     // A refused submitRead changes nothing, so an entry the level below
-    // says it must refuse is skipped without the call. Entries are still
-    // offered in index order, which keeps the lower queues' order exact.
+    // says it must refuse is skipped without the call. The slot mask
+    // offers entries in index order, which keeps the lower queues' order
+    // exact.
     if (unsentMshrs == 0 || !lower->mayAcceptAnyRead())
         return;
-    unsigned left = unsentMshrs;
-    for (auto &e : mshr) {
-        if (!e.valid || e.sentBelow)
-            continue;
-        if (lower->mayAcceptRead(e.fwd.pLine) && lower->submitRead(e.fwd)) {
+    for (std::size_t w = 0; w < unsentMask.size(); ++w) {
+        for (std::uint64_t bits = unsentMask[w]; bits != 0;
+             bits &= bits - 1) {
+            unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
+            MshrEntry &e = mshr[w * 64 + bit];
+            if (!lower->mayAcceptRead(e.fwd.pLine) ||
+                !lower->submitRead(e.fwd))
+                continue;
             e.sentBelow = true;
+            unsentMask[w] &= ~(std::uint64_t{1} << bit);
             ++stats.requestsBelow;
             --unsentMshrs;
             if (!lower->mayAcceptAnyRead())
                 return;
         }
-        if (--left == 0)
-            return;
     }
 }
 
@@ -850,9 +866,10 @@ Cache::readDone(const MemRequest &req)
 // ---------------------------------------------------------------------
 // Checkpointing. Transient per-call scratch (trainVLine/trainIp, the
 // lastEvicted* pair, wakeScratch) is dead between ticks and deliberately
-// not serialized. Neither are the parking marks, the wake cycle and the
-// MSHR line index: load clears the marks and the wake cycle, which the
-// next tick re-derives, and rebuilds the index from the valid entries.
+// not serialized. Neither are the parking marks, the wake cycle, the
+// MSHR line index and the unsent slot mask: load clears the marks and
+// the wake cycle, which the next tick re-derives, and rebuilds the index
+// and the mask from the valid entries.
 // Freed MSHR entries keep stale field junk at runtime, so only valid
 // entries are written and the rest are reset to defaults on load — that
 // keeps save -> load -> save byte-identical.
@@ -990,9 +1007,13 @@ Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
     mshrUsed = r.u32();
     unsentMshrs = r.u32();
     mshrIndex.clear();
+    std::fill(unsentMask.begin(), unsentMask.end(), 0);
     for (unsigned i = 0; i < mshr.size(); ++i) {
-        if (mshr[i].valid)
-            mshrIndex.assign(mshr[i].pLine, i);
+        if (!mshr[i].valid)
+            continue;
+        mshrIndex.assign(mshr[i].pLine, i);
+        if (!mshr[i].sentBelow)
+            unsentMask[i / 64] |= std::uint64_t{1} << (i % 64);
     }
 
     std::uint32_t nRq = r.u32();

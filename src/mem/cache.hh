@@ -86,7 +86,7 @@ struct CacheConfig
  * One cache level. Cycle-stepped: the owner calls tick() once per core
  * cycle, after ticking the level below it so responses propagate upward
  * within a cycle in the right order. It may leave out the ticks of
- * cycles before wakeCycle().
+ * cycles in which awake() is false.
  */
 class Cache : public MemLevel, public ReadClient, public PrefetchPort
 {
@@ -159,24 +159,40 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     void tick();
 
     /**
-     * First cycle at which tick() may have work: nextEventCycle() as of
-     * the last tick, lowered to the current cycle by every input that
-     * can create work (an accepted submitRead or issuePrefetch, any
-     * submitWriteback, a readDone for a tracked miss). Skipping tick()
-     * while wakeCycle() is later than the clock changes nothing; the
-     * Machine ticks only awake caches. See ARCHITECTURE.md,
-     * "Performance".
+     * First cycle at which tick() may have work of its own:
+     * nextEventCycle() as of the last tick, lowered by every input that
+     * can create work: to the end of its lookup latency by an accepted
+     * submitRead or issuePrefetch, to the current cycle by any
+     * submitWriteback and by a readDone for a tracked miss. Derived
+     * state, never serialized.
      */
     Cycle wakeCycle() const { return wakeAt; }
 
     /**
+     * Whether tick() may change anything this cycle: the wake cycle has
+     * come, or unsent MSHRs wait on room below and the level below now
+     * may have it. Room below appears only in the lower level's own
+     * tick, which runs earlier in the cycle, so this is exact once that
+     * tick has run; a tick while awake() is false changes nothing. The
+     * Machine ticks only awake caches. See ARCHITECTURE.md,
+     * "Performance".
+     */
+    bool
+    awake() const
+    {
+        return wakeAt <= *clock ||
+               (unsentMshrs > 0 && lower->mayAcceptAnyRead());
+    }
+
+    /**
      * Earliest future cycle at which tick() would do any work, given no
-     * new input arrives (kNever if idle). Used by the Machine's
-     * quiescence cycle-skip; see ARCHITECTURE.md, "Performance". The
-     * bound must never be late: pending writes and unsent MSHR retries
-     * are due next cycle, queued reads/prefetches mature when the head
-     * finishes its lookup latency, and a parked head waits for a fill
-     * from below, which the lower level's own bound covers.
+     * new input arrives and the level below stays as full as it is
+     * (kNever if idle). The bound must never be late: pending writes
+     * are due next cycle, and so are unsent MSHR retries while the level
+     * below may accept one; queued reads/prefetches mature when the head
+     * finishes its lookup latency; a parked head waits for a fill from
+     * below, and retries refused for want of room wait for the lower
+     * level's tick, which its own bound covers and awake() catches.
      */
     Cycle nextEventCycle() const;
 
@@ -289,6 +305,9 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
      *  one valid entry may track a line: callers look up first. */
     MshrEntry *allocMshr(Addr p_line);
 
+    /** Record the outcome of an entry's first send below. */
+    void noteFirstSend(MshrEntry &e, bool sent);
+
     /** Return an MSHR entry to the free list (waiters must be empty or
      *  already swapped out; capacity is retained for reuse). */
     void releaseMshr(MshrEntry *e);
@@ -354,6 +373,9 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     std::vector<unsigned> mshrFree;  //!< free-list of mshr[] indices
     unsigned mshrUsed = 0;
     unsigned unsentMshrs = 0;        //!< valid entries with !sentBelow
+    /** Bit i set when mshr[i] is valid and not yet sent below, so the
+     *  retry walks only those slots, in index order. Rebuilt on load. */
+    std::vector<std::uint64_t> unsentMask;
     // Head-of-line parking: the RQ/PQ head was refused for want of an
     // MSHR, and handling it again cannot succeed until releaseMshr or a
     // fill of its line clears the mark. A cache of a side-effect-free

@@ -11,6 +11,8 @@
 #ifndef BERTI_PREFETCH_MLOP_HH
 #define BERTI_PREFETCH_MLOP_HH
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
@@ -27,7 +29,9 @@ class MlopPrefetcher : public Prefetcher
         int maxOffset = 16;          //!< candidates in [-16, 16] \ {0}
         unsigned lookaheads = 16;    //!< lookahead levels == max degree
         unsigned updatePeriod = 500; //!< accesses per scoring round
-        unsigned historyWindow = 2048;  //!< access-map span (accesses)
+        /** Access-map span in accesses; below 2^16 (else the
+         *  constructor throws verify::SimError(ErrorKind::Config)). */
+        unsigned historyWindow = 2048;
         double selectFraction = 0.20;   //!< min score / period to select
     };
 
@@ -43,7 +47,35 @@ class MlopPrefetcher : public Prefetcher
     int offsetAt(unsigned lookahead) const;
 
   private:
+    /**
+     * 32 consecutive lines of the access map: which of them are in the
+     * window, and the low 16 bits of each one's latest access index. A
+     * wrap-around difference of stamps is exact because a line in the
+     * window was accessed fewer than historyWindow < 2^16 accesses ago.
+     * Random access leaves about one line per zone, so the zone size
+     * sets the pool's memory (68 bytes a zone) against the lookups per
+     * access (three at the default maxOffset).
+     */
+    static constexpr unsigned kZoneBits = 5;
+    static constexpr unsigned kZoneLines = 1u << kZoneBits;
+    using ZoneMask = std::uint32_t;
+    struct Zone
+    {
+        ZoneMask present;
+        std::uint16_t stamp[kZoneLines];
+    };
+
     unsigned offsetSlot(int offset) const;
+
+    /** Count, per candidate, the window accesses this access would
+     *  have covered (training). */
+    void train(Addr line);
+
+    /** Record the access to `line` at accessIndex. */
+    void record(Addr line);
+
+    /** Drop `line` from the map if its latest access is `stamp`. */
+    void expire(Addr line, std::uint16_t stamp);
 
     Config cfg;
     std::vector<int> candidates;
@@ -57,8 +89,13 @@ class MlopPrefetcher : public Prefetcher
     /** Best offset per lookahead level from the previous round. */
     std::vector<int> selected;
 
-    /** Line -> index of its latest access within the window. */
-    LineMap<std::uint64_t> lastAccess;
+    /** Zone number (line >> kZoneBits) -> its slot in zonePool. */
+    LineMap<unsigned> zoneIndex;
+    /** historyWindow zones, enough for one line each; a slot's memory
+     *  is touched only once it is first handed out. */
+    std::unique_ptr<Zone[]> zonePool;
+    std::vector<unsigned> freeZones;  //!< released slots, reused LIFO
+    unsigned zonesTouched = 0;        //!< slots ever handed out
     /** Line of each of the last historyWindow accesses, a ring. */
     std::vector<Addr> window;
     std::size_t windowPos = 0;  //!< next slot (the oldest, once full)

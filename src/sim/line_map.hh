@@ -2,7 +2,8 @@
  * @file
  * Hashed map from a line address to a small value, for the hot-path
  * lookups that used to scan or use std::unordered_map: a cache finds the
- * MSHR slot tracking a miss, and MLOP finds a line's last access index.
+ * MSHR slot tracking a miss, and MLOP finds the access-map zone holding
+ * a line.
  *
  * Open addressing with linear probing over a power-of-two table at
  * least twice the most lines held at once, so a probe always reaches an

@@ -25,6 +25,19 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
+std::uint64_t
+truncPow4(double b)
+{
+    double sq = b * b;
+    double q = sq * sq;
+    auto v = static_cast<std::uint64_t>(q);
+    double frac = q - static_cast<double>(v);
+    double margin = q * 0x1p-48;
+    if (frac > margin && 1.0 - frac > margin)
+        return v;
+    return static_cast<std::uint64_t>(std::pow(b, 4.0));
+}
+
 ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     : n(n), logForm(s == 1.0), oneMinusS(1.0 - s)
 {
@@ -36,6 +49,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     }
     h = (std::pow(static_cast<double>(n), oneMinusS) - 1.0) / oneMinusS;
     invOneMinusS = 1.0 / oneMinusS;
+    quartic = invOneMinusS == 4.0;
 }
 
 std::uint64_t
@@ -46,8 +60,10 @@ ZipfSampler::draw(Rng &rng) const
     double u = rng.nextDouble();
     if (logForm)
         return static_cast<std::uint64_t>(std::exp(u * h)) - 1;
-    double x = std::pow(u * h * oneMinusS + 1.0, invOneMinusS);
-    std::uint64_t v = static_cast<std::uint64_t>(x);
+    double base = u * h * oneMinusS + 1.0;
+    std::uint64_t v =
+        quartic ? truncPow4(base)
+                : static_cast<std::uint64_t>(std::pow(base, invOneMinusS));
     return v >= n ? n - 1 : v;
 }
 

@@ -55,12 +55,22 @@ class Rng
 };
 
 /**
+ * static_cast<std::uint64_t>(std::pow(b, 4.0)) for 1 <= b with b^4
+ * below 2^63, computed as (b*b)^2 and truncated. The product is off the
+ * exact b^4 by at most about 3 ulp and pow by under 1, so their integer
+ * parts agree unless b^4 lies within 2^-48 of an integer (relative);
+ * only then is pow called.
+ */
+std::uint64_t truncPow4(double b);
+
+/**
  * Zipf-distributed integers in [0, n) with exponent s, used for
  * power-law graph degrees and hot-set accesses. Rejection-free
  * approximate inverse-CDF sampling, accurate enough for synthetic
  * workloads. The normaliser depends only on (n, s), so it is computed
- * once here; each draw costs one pow (one exp when s == 1) and consumes
- * exactly one raw value of the Rng, or none when n <= 1.
+ * once here; each draw costs one pow (one exp when s == 1, two
+ * multiplications when s == 0.75, see truncPow4) and consumes exactly
+ * one raw value of the Rng, or none when n <= 1.
  */
 class ZipfSampler
 {
@@ -76,6 +86,7 @@ class ZipfSampler
     double h = 0.0;             //!< ln n, or (n^(1-s) - 1) / (1-s)
     double oneMinusS;
     double invOneMinusS = 0.0;  //!< 1 / (1-s)
+    bool quartic = false;       //!< invOneMinusS == 4: use truncPow4
 };
 
 } // namespace berti

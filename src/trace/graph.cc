@@ -90,14 +90,16 @@ makeKronGraph(std::uint32_t nodes, std::uint32_t avg_degree,
     // Per-node degree itself follows a power law.
     ZipfSampler degree(4ull * avg_degree, 0.8);
     ZipfSampler target(nodes, 0.75);
+    const bool pow2 = (nodes & (nodes - 1)) == 0;
     return fromRows(nodes, static_cast<std::size_t>(nodes) * avg_degree,
                     [&](std::vector<std::uint32_t> &col) {
         std::uint32_t deg = 1 + static_cast<std::uint32_t>(degree.draw(rng));
         for (std::uint32_t d = 0; d < deg; ++d) {
             std::uint32_t v = static_cast<std::uint32_t>(target.draw(rng));
             // Scatter hub IDs across the range so locality is realistic.
+            std::uint64_t h = static_cast<std::uint64_t>(v) * 2654435761ull;
             col.push_back(static_cast<std::uint32_t>(
-                (static_cast<std::uint64_t>(v) * 2654435761ull) % nodes));
+                pow2 ? h & (nodes - 1) : h % nodes));
         }
     });
 }

@@ -94,8 +94,19 @@ SimAuditor::checkCache(const Cache &cache) const
     // ------------------------------------------------ MSHR bookkeeping
     unsigned valid = 0;
     unsigned unsent = 0;
+    unsigned masked = 0;
     for (unsigned slot = 0; slot < cache.mshr.size(); ++slot) {
         const auto &e = cache.mshr[slot];
+        // The retry walks only the slots set in the unsent mask, so the
+        // mask must hold exactly the valid entries not yet sent below.
+        bool in_mask = (cache.unsentMask[slot / 64] >> (slot % 64)) & 1;
+        masked += in_mask;
+        if (in_mask != (e.valid && !e.sentBelow))
+            fail(name, "unsent slot mask " +
+                           std::string(in_mask ? "holds" : "misses") +
+                           " MSHR entry " + std::to_string(slot) +
+                           " (the retry would " +
+                           (in_mask ? "resend it)" : "never send it)"));
         if (!e.valid)
             continue;
         ++valid;
@@ -159,6 +170,20 @@ SimAuditor::checkCache(const Cache &cache) const
                        std::to_string(unsent) +
                        " valid entries awaiting a lower-level slot "
                        "(retry scheduling would stall or spin)");
+    if (masked != cache.unsentMshrs)
+        fail(name, "unsent slot mask holds " + std::to_string(masked) +
+                       " slots but the unsent-MSHR count is " +
+                       std::to_string(cache.unsentMshrs));
+
+    // ------------------------------------------------------- tick gate
+    // The cycle skip jumps to the earliest wake cycle, so a cache must
+    // never sleep past work it already has.
+    if (cache.wakeCycle() > cache.nextEventCycle())
+        fail(name, "cache sleeps until cycle " +
+                       std::to_string(cache.wakeCycle()) +
+                       " but has work at cycle " +
+                       std::to_string(cache.nextEventCycle()) +
+                       " (the cycle skip would jump past it)");
 
     // ------------------------------------------------- queue occupancy
     if (cache.rq.size() > ccfg.rqSize)
@@ -274,6 +299,12 @@ SimAuditor::checkCore(const Core &core) const
         fail(name, "ROB head done but the core sleeps until cycle " +
                        std::to_string(core.wakeCycle()) +
                        " (retirement would be skipped)");
+    if (core.wakeCycle() > core.nextEventCycle())
+        fail(name, "core sleeps until cycle " +
+                       std::to_string(core.wakeCycle()) +
+                       " but has work at cycle " +
+                       std::to_string(core.nextEventCycle()) +
+                       " (the cycle skip would jump past it)");
 }
 
 void

@@ -9,7 +9,8 @@
  *     entries, and no entry is older than a leak threshold (a leaked
  *     entry would silently corrupt Berti's measured fill latency);
  *   - the MSHR line index finds every valid entry at its own slot and
- *     holds nothing else;
+ *     holds nothing else, and the unsent slot mask holds exactly the
+ *     valid entries not yet sent below;
  *   - RQ / PQ / WQ occupancies stay within their declared bounds;
  *   - tag arrays never hold two copies of the same line, and every
  *     valid line maps to the set it sits in;
@@ -18,6 +19,9 @@
  *     ids are consecutive, an entry is done exactly when it has no
  *     pending loads, and a core whose ROB head is done is awake by the
  *     next cycle;
+ *   - no cache or core sleeps past its own next event: its wake cycle
+ *     is no later than a fresh nextEventCycle(), which the cycle skip
+ *     relies on;
  *   - each memory backend's own invariants (auditViolation()), such as
  *     the DRAM read-queue row/bank keys matching their lines;
  *   - TLB sets hold no duplicate pages, every cached page sits in its

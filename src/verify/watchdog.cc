@@ -18,18 +18,19 @@ ProgressWatchdog::reset(unsigned cores)
         t.lastProgress = *clock;
 }
 
-void
+bool
 ProgressWatchdog::observe(unsigned core, std::uint64_t retired,
                           std::uint64_t rob_head_id)
 {
     if (core >= tracks.size())
-        return;
+        return false;
     Track &t = tracks[core];
-    if (retired != t.retired || rob_head_id != t.headId) {
-        t.retired = retired;
-        t.headId = rob_head_id;
-        t.lastProgress = *clock;
-    }
+    if (retired == t.retired && rob_head_id == t.headId)
+        return false;
+    t.retired = retired;
+    t.headId = rob_head_id;
+    t.lastProgress = *clock;
+    return true;
 }
 
 int

@@ -49,9 +49,11 @@ class ProgressWatchdog
      * it retires an instruction or its ROB head changes. An ROB that
      * stays empty is NOT progress: a wedged front-end (a swallowed
      * instruction-fetch fill) drains the ROB and parks it empty, which
-     * is precisely the hang this watchdog exists to catch.
+     * is precisely the hang this watchdog exists to catch. Returns
+     * whether the observation recorded progress (which can move
+     * nextDeadline()); observing unchanged values changes nothing.
      */
-    void observe(unsigned core, std::uint64_t retired,
+    bool observe(unsigned core, std::uint64_t retired,
                  std::uint64_t rob_head_id);
 
     /** Index of the first wedged core, or -1 when all progress. */

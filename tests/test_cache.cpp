@@ -678,6 +678,52 @@ TEST(CacheAdmissionHints, FullLowerLevelGetsNoRetriesAndResumesInIndexOrder)
     EXPECT_TRUE(unsentInIndexOrder(llc).empty());
 }
 
+TEST(CacheAdmissionHints, UnsentMshrsSleepUntilTheLowerLevelPops)
+{
+    Cycle clock = 0;
+    DramConfig dcfg;
+    dcfg.rqSize = 2;
+    Dram dram{dcfg, &clock};
+    Cache llc{llcConfig(), &clock};
+    llc.setLower(&dram);
+    CollectingClient client;
+
+    // A full DRAM read queue refuses the miss when its MSHR is
+    // allocated; the DRAM is not ticked yet, so it stays full.
+    for (Addr a : {Addr{100}, Addr{101}}) {
+        MemRequest r;
+        r.pLine = a;
+        ASSERT_TRUE(dram.submitRead(r));
+    }
+    llc.submitRead(load(10, &client));
+    for (unsigned i = 0; i < 100 && llc.mshrsInUse() == 0; ++i) {
+        ++clock;
+        llc.tick();
+    }
+    ASSERT_EQ(unsentInIndexOrder(llc), (std::vector<Addr>{10}));
+
+    // Its only work waits on room below: asleep, with no event.
+    EXPECT_FALSE(llc.awake());
+    EXPECT_EQ(llc.nextEventCycle(), kNever);
+    EXPECT_EQ(llc.wakeCycle(), kNever);
+
+    // It wakes in the very cycle the DRAM's tick pops its queue, and
+    // one tick sends the miss.
+    unsigned llc_ticks = 0;
+    for (unsigned i = 0; i < 1000 && llc.stats.requestsBelow == 0; ++i) {
+        ++clock;
+        dram.tick();
+        ASSERT_EQ(llc.awake(), dram.mayAcceptAnyRead()) << "cycle " << clock;
+        if (llc.awake()) {
+            llc.tick();
+            ++llc_ticks;
+        }
+    }
+    EXPECT_EQ(llc.stats.requestsBelow, 1u);
+    EXPECT_EQ(llc_ticks, 1u);
+    EXPECT_TRUE(unsentInIndexOrder(llc).empty());
+}
+
 TEST(CacheAdmissionHints, FullChannelDoesNotHoldBackTheOtherChannel)
 {
     Cycle clock = 0;
@@ -752,6 +798,10 @@ struct ShuffledLevel : MemLevel
 
     void submitWriteback(Addr) override { ++writebacks; }
 
+    // Room appears only in tick(), which runs before the cache's.
+    bool mayAcceptRead(Addr) const override { return pending.size() < room; }
+    bool mayAcceptAnyRead() const override { return pending.size() < room; }
+
     /** Deliver every response that is due, oldest request first. */
     void
     tick()
@@ -819,7 +869,8 @@ namespace
 /**
  * Two identical caches see the same inputs in the same order within
  * each cycle: fills from below before their turn, requests from above
- * after it. One is ticked every cycle, the other only while awake.
+ * after it. One is ticked every cycle, the other only while awake(),
+ * which also sleeps through retries the full level below would refuse.
  * Their whole state must agree after every cycle.
  */
 void
@@ -830,15 +881,18 @@ checkTwins(std::uint64_t seed)
     DrivenCache gated(&clock, seed);
     Rng script(seed * 31 + 1);
     unsigned gated_ticks = 0;
+    unsigned slept_unsent = 0;
     const unsigned cycles = 6000;
     for (unsigned c = 0; c < cycles; ++c) {
         ++clock;
         every.lower.tick();
         gated.lower.tick();
         every.cache.tick();
-        if (gated.cache.wakeCycle() <= clock) {
+        if (gated.cache.awake()) {
             gated.cache.tick();
             ++gated_ticks;
+        } else if (!unsentInIndexOrder(gated.cache).empty()) {
+            ++slept_unsent;
         }
 
         // Bursts of requests from above, then quiet stretches in which
@@ -872,8 +926,10 @@ checkTwins(std::uint64_t seed)
     EXPECT_GT(every.cache.stats.fills, 100u);
     EXPECT_GT(every.cache.stats.writebacks, 0u);
     EXPECT_GT(every.cache.stats.prefetchIssued, 100u);
-    // The gate must actually have skipped most cycles.
+    // The gate must actually have skipped most cycles, some of them
+    // with retries waiting on room below.
     EXPECT_LT(gated_ticks, cycles / 2);
+    EXPECT_GT(slept_unsent, 0u);
 }
 
 } // namespace
@@ -912,8 +968,9 @@ TEST(CacheTickGate, EachInputWakesADrainedCache)
     EXPECT_EQ(cache.wakeCycle(), 0u);
     drain();
 
+    // A request wakes the cache for the cycle its lookup latency ends.
     ASSERT_TRUE(cache.submitRead(load(5, &client)));
-    EXPECT_LE(cache.wakeCycle(), clock);
+    EXPECT_EQ(cache.wakeCycle(), clock + cfg.latency);
     drain();  // the miss is below; the cache sleeps until its fill
     ASSERT_EQ(cache.mshrsInUse(), 1u);
     ASSERT_TRUE(client.done.empty());
@@ -932,7 +989,7 @@ TEST(CacheTickGate, EachInputWakesADrainedCache)
     EXPECT_TRUE(cache.probeDirty(9));
 
     ASSERT_TRUE(cache.issuePrefetch(13, FillLevel::L2));
-    EXPECT_LE(cache.wakeCycle(), clock);
+    EXPECT_EQ(cache.wakeCycle(), clock + cfg.latency);
     drain();
     EXPECT_EQ(cache.mshrsInUse(), 1u);
 }

@@ -3,8 +3,9 @@
  * runFigures tests: cell identity follows the spec's definition,
  * not its label; a cell requested by several entries is simulated
  * once; outputs are independent of the worker count; params variants
- * get their own sidecar directories; and a declaration that would
- * write one sidecar path twice is refused before anything runs.
+ * get their own sidecar directories; a declaration that would write one
+ * sidecar path twice is refused before anything runs; and the entries
+ * that drive Machines themselves honour the memory backend.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "figures.hh"
@@ -228,6 +230,40 @@ TEST(Figures, DuplicateSidecarPathIsRefusedBeforeSimulating)
             << e.reason();
     }
     EXPECT_FALSE(fs::exists(dir.path + "/log/store"));
+}
+
+TEST(Figures, BespokeMachinesRunOnTheRequestedMemoryBackend)
+{
+    // fig03 and abl_l1i_prefetch drive Machines themselves. The backend
+    // must reach them as it reaches every matrix cell, so an unknown one
+    // is refused instead of silently simulated on the default DRAM.
+    sim::SimOptions opt;
+    opt.benchQuick = true;
+    opt.memBackend = "no-such-backend";
+    unsigned checked = 0;
+    for (const Figure &f : figureTable()) {
+        if (f.name != "fig03_local_vs_global" &&
+            f.name != "abl_l1i_prefetch")
+            continue;
+        ++checked;
+        Matrices ms;
+        if (f.cells)
+            ms = f.cells(opt);
+        for (Matrix &m : ms) {
+            m.results.assign(m.columns.size(),
+                             std::vector<SimResult>(m.workloads.size()));
+        }
+        std::ostringstream os;
+        try {
+            f.report(opt, ms, os);
+            ADD_FAILURE() << f.name << " ignored the memory backend";
+        } catch (const verify::SimError &e) {
+            EXPECT_EQ(e.kind(), verify::ErrorKind::Config) << f.name;
+            EXPECT_NE(e.reason().find("no-such-backend"), std::string::npos)
+                << f.name << ": " << e.reason();
+        }
+    }
+    EXPECT_EQ(checked, 2u);
 }
 
 TEST(Figures, TableNamesAreTheHistoricalOutputNames)

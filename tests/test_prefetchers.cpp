@@ -226,14 +226,13 @@ namespace
 class RefMlop
 {
   public:
-    static constexpr int kMaxOffset = 16;
     static constexpr unsigned kLookaheads = 16;
     static constexpr unsigned kUpdatePeriod = 500;
     static constexpr unsigned kWindow = 2048;
 
-    RefMlop()
+    explicit RefMlop(int max_offset)
     {
-        for (int o = -kMaxOffset; o <= kMaxOffset; ++o) {
+        for (int o = -max_offset; o <= max_offset; ++o) {
             if (o != 0)
                 candidates.push_back(o);
         }
@@ -358,36 +357,50 @@ TEST(Mlop, MatchesReferenceImplementation)
          [&perm](unsigned i) {
              return Addr{70000} + 2 * perm[i % 2049 % 2048];
          }},
+        // Candidate bases below line 0 (never accessed), and a +1
+        // stride that crosses a zone boundary every 6 accesses.
+        {"near-zero", [](unsigned i) { return Addr{i % 90}; }},
+        {"zone-edges",
+         [](unsigned i) {
+             return 64 * (1 + Addr{i / 6 % 40}) + i % 6 - 3;
+         }},
     };
 
-    for (const Stream &stream : streams) {
-        SCOPED_TRACE(stream.name);
-        MlopPrefetcher pf;
-        RecordingPort port;
-        pf.bind(&port);
-        RefMlop ref;
-        RecordingPort ref_port;
-        bool selected_any = false;
-        for (unsigned i = 0; i < kAccesses; ++i) {
-            Addr line = stream.line(i);
-            pf.onAccess(access(line));
-            ref.onAccess(line, ref_port);
-            if ((i + 1) % RefMlop::kUpdatePeriod != 0)
-                continue;
-            for (unsigned la = 0; la < RefMlop::kLookaheads; ++la) {
-                ASSERT_EQ(pf.offsetAt(la), ref.selected[la])
-                    << "access " << i << " level " << la;
-                selected_any |= ref.selected[la] != 0;
+    // The candidates span 33 lines at 16 (the default), up to three
+    // 32-line zones, and 81 at 40, up to four.
+    for (int max_offset : {16, 40}) {
+        for (const Stream &stream : streams) {
+            SCOPED_TRACE(std::string(stream.name) + " maxOffset " +
+                         std::to_string(max_offset));
+            MlopPrefetcher::Config cfg;
+            cfg.maxOffset = max_offset;
+            MlopPrefetcher pf(cfg);
+            RecordingPort port;
+            pf.bind(&port);
+            RefMlop ref(max_offset);
+            RecordingPort ref_port;
+            bool selected_any = false;
+            for (unsigned i = 0; i < kAccesses; ++i) {
+                Addr line = stream.line(i);
+                pf.onAccess(access(line));
+                ref.onAccess(line, ref_port);
+                if ((i + 1) % RefMlop::kUpdatePeriod != 0)
+                    continue;
+                for (unsigned la = 0; la < RefMlop::kLookaheads; ++la) {
+                    ASSERT_EQ(pf.offsetAt(la), ref.selected[la])
+                        << "access " << i << " level " << la;
+                    selected_any |= ref.selected[la] != 0;
+                }
+                ASSERT_EQ(port.issues.size(), ref_port.issues.size())
+                    << "access " << i;
             }
-            ASSERT_EQ(port.issues.size(), ref_port.issues.size())
-                << "access " << i;
-        }
-        EXPECT_TRUE(selected_any);
-        for (std::size_t k = 0; k < ref_port.issues.size(); ++k) {
-            ASSERT_EQ(port.issues[k].line, ref_port.issues[k].line)
-                << "issue " << k;
-            ASSERT_EQ(port.issues[k].level, ref_port.issues[k].level)
-                << "issue " << k;
+            EXPECT_TRUE(selected_any);
+            for (std::size_t k = 0; k < ref_port.issues.size(); ++k) {
+                ASSERT_EQ(port.issues[k].line, ref_port.issues[k].line)
+                    << "issue " << k;
+                ASSERT_EQ(port.issues[k].level, ref_port.issues[k].level)
+                    << "issue " << k;
+            }
         }
     }
 }

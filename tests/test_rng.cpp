@@ -164,6 +164,48 @@ INSTANTIATE_TEST_SUITE_P(
                       ZipfCase{512, 1.2}, ZipfCase{2, 0.5},
                       ZipfCase{1, 1.2}, ZipfCase{0, 0.9}));
 
+TEST(Zipf, QuarticFastPathMatchesPowOverTenMillionDraws)
+{
+    // s = 0.75 (every Kron-type graph's target draw) takes truncPow4.
+    const std::uint64_t n = 1u << 19;
+    ZipfSampler zipf(n, 0.75);
+    Rng a(0xC0FFEE), b(0xC0FFEE);
+    for (int i = 0; i < 10000000; ++i) {
+        std::uint64_t want = referenceZipf(a, n, 0.75);
+        std::uint64_t got = zipf.draw(b);
+        ASSERT_EQ(got, want) << "draw " << i;
+    }
+    EXPECT_EQ(b.serializeState(), a.serializeState());
+}
+
+TEST(Zipf, TruncPow4MatchesPowNextToIntegers)
+{
+    // Bases a few ulps either side of k^(1/4), whose fourth power lies
+    // next to the integer k, where the product's rounding could put it
+    // on the other side of k than pow's.
+    auto check = [](double base) {
+        ASSERT_EQ(truncPow4(base),
+                  static_cast<std::uint64_t>(std::pow(base, 4.0)))
+            << std::hexfloat << base;
+    };
+    for (std::uint64_t k = 1; k < (1u << 20); k += 1 + k / 64) {
+        double root = std::pow(static_cast<double>(k), 0.25);
+        double up = root, down = root;
+        for (int step = 0; step < 8; ++step) {
+            check(up);
+            check(down);
+            up = std::nextafter(up, 2.0 * up);
+            down = std::nextafter(down, 0.0);
+            if (down < 1.0)
+                down = 1.0;
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    check(1.0);
+    check(std::pow(2.0, 13.0));  // b^4 = 2^52, where no fraction is left
+}
+
 TEST(Zipf, DrawConsumesOneRawValueUnlessTrivial)
 {
     Rng r(23), twin(23);

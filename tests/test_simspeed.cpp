@@ -3,7 +3,8 @@
  * Simulator-speed overhaul tests: the hot-path RingQueue (order kept
  * across wraps, growth and erases), the MSHR arena (no live-entry recycling, audited), the
  * quiescence cycle-skip's bit-identical-results invariant (golden
- * matrix cells, adversarial micro-traces, a multi-core mix), and the
+ * matrix cells, adversarial micro-traces, a multi-core mix, four cores
+ * on a saturated DRAM read queue), and the
  * allocation-free steady-state demand path.
  */
 
@@ -320,6 +321,60 @@ TEST(CycleSkip, MultiCoreMixIsBitIdentical)
     ASSERT_EQ(off.size(), on.size());
     for (std::size_t c = 0; c < off.size(); ++c)
         EXPECT_EQ(off[c], on[c]) << "core " << c << " diverged";
+}
+
+namespace
+{
+
+/**
+ * Four cores on one DRAM channel whose read queue holds four reads, so
+ * the LLC keeps MSHRs waiting on room below and the room gate decides
+ * when it ticks. Returns every core's live and run-target stats and the
+ * clock; adds the LLC's unsent MSHRs seen between run chunks to *waits.
+ */
+std::string
+saturatedQuad(bool skip, bool audit, unsigned *waits)
+{
+    MachineConfig cfg = MachineConfig::sunnyCove(4);
+    cfg.dram.rqSize = 4;
+    cfg.cycleSkip = skip;
+    cfg.audit.enabled = audit;
+    cfg.audit.interval = 256;
+    cfg.l1dPrefetcher = makeSpec("berti").l1d;
+    std::vector<std::unique_ptr<TraceGenerator>> gens;
+    std::vector<TraceGenerator *> raw;
+    for (const char *w : {"mcf-like.1536", "bwaves-like.2609",
+                          "lbm-like.2676", "stream-like.1"}) {
+        gens.push_back(findWorkload(w).make());
+        raw.push_back(gens.back().get());
+    }
+    Machine m(cfg, raw);
+    for (int chunk = 0; chunk < 4; ++chunk) {
+        m.run(1000);
+        for (const Cache::MshrView &v : m.sharedLlc().mshrSnapshot())
+            *waits += !v.sentBelow;
+    }
+    std::string out;
+    for (unsigned c = 0; c < 4; ++c) {
+        out += obs::toJson(obs::snapshotOf(m.liveStats(c))) + "\n";
+        out += obs::toJson(obs::snapshotOf(m.coreSnapshot(c))) + "\n";
+    }
+    return out + "cycle " + std::to_string(m.cycle());
+}
+
+} // namespace
+
+TEST(CycleSkip, SaturatedFourCoreDramIsBitIdentical)
+{
+    unsigned waits_off = 0, waits_on = 0, waits_audited = 0;
+    std::string off = saturatedQuad(false, false, &waits_off);
+    std::string on = saturatedQuad(true, false, &waits_on);
+    std::string audited = saturatedQuad(true, true, &waits_audited);
+    EXPECT_EQ(off, on) << "diverged under cycle-skip";
+    EXPECT_EQ(off, audited) << "diverged under the auditor";
+    // The gate had MSHRs to hold back.
+    EXPECT_GT(waits_on, 0u);
+    EXPECT_EQ(waits_on, waits_off);
 }
 
 // ============================================================== MSHR arena

@@ -350,6 +350,18 @@ struct verify::SimAuditor::TestAccess
     }
 
     static void
+    sleepUntil(Cache &cache, Cycle wake)
+    {
+        cache.wakeAt = wake;
+    }
+
+    static void
+    flipUnsentBit(Cache &cache, unsigned slot)
+    {
+        cache.unsentMask[slot / 64] ^= std::uint64_t{1} << (slot % 64);
+    }
+
+    static void
     staleDramKey(Dram &dram, std::size_t pos)
     {
         dram.rqKeys[pos].row += 1;
@@ -432,6 +444,19 @@ TEST(AuditorTest, StaleLineIndexEntryIsAViolation)
     expectInvariant(*f.auditor, "index-under-test", "MSHR line index");
 }
 
+TEST(AuditorTest, SentMshrInTheUnsentMaskIsAViolation)
+{
+    // Both misses went below; a mask bit for one of them would make
+    // the retry send it a second time.
+    InFlightCache f;
+    ASSERT_EQ(f.cache.mshrSnapshot().size(), 2u);
+    ASSERT_TRUE(f.cache.mshrSnapshot()[0].sentBelow);
+    f.auditor->checkNow();
+    SimAuditor::TestAccess::flipUnsentBit(f.cache, 0);
+    expectInvariant(*f.auditor, "index-under-test",
+                    "unsent slot mask holds MSHR entry 0");
+}
+
 namespace
 {
 
@@ -505,6 +530,18 @@ TEST(AuditorTest, PqKeyThatIsNotItsEntrysLineIsAViolation)
     f.auditor->checkNow();
     SimAuditor::TestAccess::bumpPqKey(f.cache, 1);
     expectInvariant(*f.auditor, "tags-under-test", "is not its entry's line");
+}
+
+TEST(AuditorTest, CacheSleepingPastItsNextEventIsAViolation)
+{
+    // The queued prefetches are due at a known cycle; the cycle skip
+    // would jump past them if the cache slept longer.
+    FilledCache f;
+    Cycle due = f.cache.nextEventCycle();
+    ASSERT_LT(due, kNever);
+    f.auditor->checkNow();
+    SimAuditor::TestAccess::sleepUntil(f.cache, due + 1);
+    expectInvariant(*f.auditor, "tags-under-test", "cache sleeps until");
 }
 
 TEST(AuditorTest, PqKeyRingOutOfStepWithThePqIsAViolation)
@@ -592,6 +629,24 @@ TEST(AuditorTest, CoreSleepingPastADoneHeadIsAViolation)
 
     SimAuditor::TestAccess::sleepUntil(core, f.m.cycle() + 5);
     expectInvariant(*f.m.auditor(), "core0", "ROB head done");
+}
+
+TEST(AuditorTest, CoreSleepingPastItsNextEventIsAViolation)
+{
+    // 200 ALU ops retire while the load after them is still below:
+    // the head waits on it, but the front end has work of its own.
+    std::vector<TraceInstr> script(600);
+    for (std::size_t i = 0; i < script.size(); ++i)
+        script[i].ip = 0x400000 + 4 * i;
+    script[200].load0 = 0x30000000;
+    AuditedCore f(script);
+    Core &core = f.m.core(0);
+    ASSERT_FALSE(core.robHeadDone());
+    Cycle due = core.nextEventCycle();
+    ASSERT_LT(due, kNever);
+
+    SimAuditor::TestAccess::sleepUntil(core, due + 1);
+    expectInvariant(*f.m.auditor(), "core0", "core sleeps until");
 }
 
 TEST(AuditorTest, StaleDramRowKeyIsAViolation)
